@@ -7,7 +7,9 @@ GO ?= go
 # cache key, the interning equivalence property, the COW memory
 # (clone/write vs a deep-copy reference model), the incremental/
 # fresh solver equivalence, the portfolio/fresh equivalence, the
-# job-journal replay (against an in-memory reference model) and the
+# append-only journal (crashed log plus single- and two-handle appends
+# against a line-split reference model), the job-journal replay
+# (against an in-memory reference model) and the
 # symbolic-store weak-update image (against a concrete-memory reference
 # model), then the full suite.
 ci: vet build race fuzz test
@@ -20,7 +22,7 @@ build:
 	$(GO) build ./cmd/congolic ./examples/demo
 
 race:
-	$(GO) test -race -count=1 ./internal/sym/... ./internal/sat/... ./internal/bitblast/... ./internal/core/... ./internal/cover/... ./internal/mutate/... ./internal/solver/... ./internal/exchange/... ./internal/warmstore/... ./internal/service/... ./internal/mem/... ./internal/gos/... ./internal/lift/... ./internal/jobstore/... ./internal/sharedcache/... ./internal/bombs/... ./internal/symexec/...
+	$(GO) test -race -count=1 ./internal/sym/... ./internal/sat/... ./internal/bitblast/... ./internal/core/... ./internal/cover/... ./internal/mutate/... ./internal/solver/... ./internal/exchange/... ./internal/warmstore/... ./internal/service/... ./internal/mem/... ./internal/gos/... ./internal/lift/... ./internal/journal/... ./internal/jobstore/... ./internal/sharedcache/... ./internal/bombs/... ./internal/symexec/...
 	$(GO) test -race -count=1 -short ./internal/gofront/ ./internal/cliopts/ ./internal/target/ ./internal/suggest/
 	$(GO) test -race -count=1 -run 'TestGridExtended' ./internal/eval/
 
@@ -31,6 +33,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalEquivalence -fuzztime=5s ./internal/solver/
 	$(GO) test -run '^$$' -fuzz FuzzPortfolioEquivalence -fuzztime=5s ./internal/solver/
 	$(GO) test -run '^$$' -fuzz FuzzMutateDeterminism -fuzztime=5s ./internal/mutate/
+	$(GO) test -run '^$$' -fuzz FuzzJournal -fuzztime=5s ./internal/journal/
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime=5s ./internal/jobstore/
 	$(GO) test -run '^$$' -fuzz FuzzSymbolicWriteEquivalence -fuzztime=5s ./internal/symexec/
 

@@ -1,14 +1,11 @@
 // Package jobstore is the disk-backed half of the service job registry:
-// an append-only journal + snapshot (the torn-tail-tolerant layout of
-// internal/warmstore) holding one record per job, so queued work and
-// finished results survive a concolicd restart or crash.
+// a journal + snapshot (internal/journal) holding one record per job, so
+// queued work and finished results survive a concolicd restart or crash.
 //
 // Layout: a directory with `log.jsonl` (one record appended per state
-// transition, unbuffered so a killed process loses at most the write in
-// flight) and `snapshot.jsonl` (the same record format, rewritten on
-// Compact/Close). Open replays snapshot then log; a corrupt line is
-// skipped instead of failing the open, and an unterminated log tail is
-// newline-repaired so post-crash appends cannot fuse onto it. The
+// transition) and `snapshot.jsonl` (the same record format, rewritten on
+// Compact/Close). Open replays snapshot then log with the journal's
+// crash policy: a torn or corrupt line loses that record only. The
 // latest record per job wins; first-seen order is preserved, so a
 // replayed store lists jobs in their original submission order.
 //
@@ -18,14 +15,12 @@
 package jobstore
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
+
+	"repro/internal/journal"
 )
 
 // Record is one job's persisted state. Every Put writes the whole
@@ -65,8 +60,7 @@ const (
 // Log is a disk-backed job record store. Safe for concurrent use.
 type Log struct {
 	mu       sync.Mutex
-	dir      string
-	log      *os.File
+	log      *journal.Journal
 	records  map[string]*Record
 	order    []string // first-seen order; survives updates and replay
 	replayed int
@@ -76,56 +70,23 @@ type Log struct {
 // Open opens (creating if needed) the store rooted at dir and replays
 // its contents.
 func Open(dir string) (*Log, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	j, err := journal.Open(dir, logName)
+	if err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
-	l := &Log{dir: dir, records: make(map[string]*Record)}
-	if err := l.replay(filepath.Join(dir, snapshotName)); err != nil {
-		return nil, err
-	}
-	if err := l.replay(filepath.Join(dir, logName)); err != nil {
-		return nil, err
+	l := &Log{log: j, records: make(map[string]*Record)}
+	err = j.Replay(snapshotName, func(line []byte) {
+		var r rec
+		if json.Unmarshal(line, &r) == nil {
+			l.apply(r)
+		}
+	})
+	if err != nil {
+		j.Close()
+		return nil, fmt.Errorf("jobstore: %w", err)
 	}
 	l.replayed = len(l.order)
-	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("jobstore: %w", err)
-	}
-	if err := terminateTail(filepath.Join(dir, logName), f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	l.log = f
 	return l, nil
-}
-
-// replay loads one record file. A missing file is fine; an undecodable
-// line — a torn tail newline-repaired by a later Open, or any other
-// crash damage — is skipped, so records appended after the damage still
-// recover.
-func (l *Log) replay(path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var r rec
-		if json.Unmarshal(line, &r) != nil {
-			continue // crash damage: skip the line, keep replaying
-		}
-		l.apply(r)
-	}
-	return nil
 }
 
 func (l *Log) apply(r rec) {
@@ -149,38 +110,7 @@ func (l *Log) apply(r rec) {
 	}
 }
 
-// terminateTail newline-repairs an unterminated final log line left by
-// a crash, so the next append starts a fresh line instead of fusing
-// onto the torn one and being lost on the following replay.
-func terminateTail(path string, log *os.File) error {
-	st, err := os.Stat(path)
-	if err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	if st.Size() == 0 {
-		return nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	defer f.Close()
-	var last [1]byte
-	if _, err := f.ReadAt(last[:], st.Size()-1); err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	if last[0] == '\n' {
-		return nil
-	}
-	if _, err := log.Write([]byte{'\n'}); err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	return nil
-}
-
-// Put persists a job record (insert or full update). The append is a
-// single unbuffered write: a killed process loses at most the record in
-// flight, never an earlier one.
+// Put persists a job record (insert or full update).
 func (l *Log) Put(r Record) {
 	if r.ID == "" {
 		return
@@ -204,17 +134,9 @@ func (l *Log) Delete(id string) {
 }
 
 func (l *Log) append(r rec) {
-	if l.log == nil {
-		return
+	if l.log.Append(r) == nil {
+		l.appends++
 	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		return
-	}
-	if _, err := l.log.Write(append(b, '\n')); err != nil {
-		return
-	}
-	l.appends++
 }
 
 // Records returns copies of every live record in first-seen order.
@@ -239,45 +161,13 @@ func (l *Log) Stats() Stats {
 func (l *Log) Compact() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	tmp := filepath.Join(l.dir, snapshotName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
+	recs := make([]any, len(l.order))
+	for i, id := range l.order {
+		recs[i] = rec{T: "j", J: l.records[id]}
+	}
+	if err := l.log.Compact(snapshotName, recs); err != nil {
 		return fmt.Errorf("jobstore: %w", err)
 	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for _, id := range l.order {
-		if err := enc.Encode(rec{T: "j", J: l.records[id]}); err != nil {
-			f.Close()
-			return fmt.Errorf("jobstore: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, snapshotName)); err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	// The snapshot covers everything: restart the log.
-	if l.log != nil {
-		l.log.Close()
-	}
-	if err := os.Truncate(filepath.Join(l.dir, logName), 0); err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	f, err = os.OpenFile(filepath.Join(l.dir, logName), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	l.log = f
 	return nil
 }
 
@@ -291,12 +181,8 @@ func (l *Log) Close() error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.log != nil {
-		err := l.log.Close()
-		l.log = nil
-		if err != nil {
-			return fmt.Errorf("jobstore: %w", err)
-		}
+	if err := l.log.Close(); err != nil {
+		return fmt.Errorf("jobstore: %w", err)
 	}
 	return nil
 }

@@ -3,15 +3,13 @@
 // holding solved query verdicts keyed by cross-process-stable digests.
 // One replica solves a query; every other replica answers it from disk.
 //
-// Layout: a single append-only JSONL log (`queries.jsonl`). Writers
-// append whole lines with O_APPEND — on a local filesystem each append
-// lands atomically at the tail, so concurrent replicas interleave lines
-// but never interleave bytes within a line. Readers tail the log
-// incrementally: each Lookup miss re-scans only the bytes appended since
-// the last scan, so another replica's entries become visible without any
-// coordination, watcher, or server. A torn tail (a crash mid-append, or
-// a reader racing a writer mid-line) parks the read offset at the start
-// of the incomplete line and retries on the next refresh.
+// Layout: a single journal (internal/journal), `queries.jsonl`. Each
+// replica appends whole lines, so concurrent replicas interleave lines
+// but never bytes within a line. Readers tail the journal incrementally:
+// each Lookup miss re-scans only the bytes appended since the last scan,
+// so another replica's entries become visible without any coordination,
+// watcher, or server. A line still being written is picked up by the
+// next refresh; a torn or corrupt one is skipped.
 //
 // Keys are opaque strings chosen by the caller; they must be stable
 // across processes and JSON-safe. The solver layer keys entries with
@@ -23,14 +21,11 @@
 package sharedcache
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
+
+	"repro/internal/journal"
 )
 
 // Entry is one persisted query verdict.
@@ -56,8 +51,7 @@ const logName = "queries.jsonl"
 // concurrent use; multiple processes may hold handles on one directory.
 type Tier struct {
 	mu      sync.Mutex
-	dir     string
-	log     *os.File // O_APPEND writer
+	log     *journal.Journal
 	entries map[string]Entry
 	offset  int64 // bytes of the log already scanned
 	stats   Stats
@@ -66,98 +60,39 @@ type Tier struct {
 // Open opens (creating if needed) the tier rooted at dir and loads the
 // entries already on disk.
 func Open(dir string) (*Tier, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("sharedcache: %w", err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	j, err := journal.Open(dir, logName)
 	if err != nil {
 		return nil, fmt.Errorf("sharedcache: %w", err)
 	}
-	if err := terminateTail(dir, f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	t := &Tier{dir: dir, log: f, entries: make(map[string]Entry)}
+	t := &Tier{log: j, entries: make(map[string]Entry)}
 	t.mu.Lock()
 	err = t.refreshLocked()
 	t.mu.Unlock()
 	if err != nil {
-		f.Close()
+		j.Close()
 		return nil, err
 	}
 	return t, nil
 }
 
-// terminateTail closes off a torn final line left by a crashed writer:
-// without this, the first append of the new session would fuse onto the
-// partial line and be lost as garbage on the next replay. Appends are
-// single atomic writes, so a missing trailing newline can only be crash
-// damage; should another replica sneak an append in between the check
-// and the repair, the extra newline merely makes one empty line, which
-// replay skips.
-func terminateTail(dir string, log *os.File) error {
-	f, err := os.Open(filepath.Join(dir, logName))
-	if err != nil {
-		return fmt.Errorf("sharedcache: %w", err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("sharedcache: %w", err)
-	}
-	if st.Size() == 0 {
-		return nil
-	}
-	var last [1]byte
-	if _, err := f.ReadAt(last[:], st.Size()-1); err != nil {
-		return fmt.Errorf("sharedcache: %w", err)
-	}
-	if last[0] == '\n' {
-		return nil
-	}
-	if _, err := log.Write([]byte{'\n'}); err != nil {
-		return fmt.Errorf("sharedcache: %w", err)
-	}
-	return nil
-}
-
-// refreshLocked scans log bytes appended since the last scan into the
-// in-memory map. A line that does not parse — torn tail, or a writer
-// caught mid-append — stops the scan with the offset parked at its
-// start, so the next refresh retries it.
+// refreshLocked scans log lines appended since the last scan into the
+// in-memory map. The first entry seen for a key wins.
 func (t *Tier) refreshLocked() error {
-	f, err := os.Open(filepath.Join(t.dir, logName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("sharedcache: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Seek(t.offset, io.SeekStart); err != nil {
-		return fmt.Errorf("sharedcache: %w", err)
-	}
 	t.stats.Refreshes++
-	r := bufio.NewReaderSize(f, 64*1024)
-	for {
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			// No trailing newline yet: an append in flight (or a torn
-			// tail). Leave the offset at the line start and retry later.
-			return nil
-		}
+	off, err := t.log.Scan(t.offset, func(line []byte) {
 		var e Entry
 		if json.Unmarshal(line, &e) != nil || e.Key == "" {
-			// A complete but undecodable line is a torn tail from a crash:
-			// skip it for good, or the log would jam here forever.
-			t.offset += int64(len(line))
-			continue
+			return
 		}
-		t.offset += int64(len(line))
 		if _, ok := t.entries[e.Key]; !ok {
 			t.entries[e.Key] = e
 		}
+	})
+	t.offset = off
+	if err != nil {
+		return fmt.Errorf("sharedcache: %w", err)
 	}
+	return nil
 }
 
 // Lookup returns the persisted verdict for key, refreshing from disk on
@@ -200,11 +135,7 @@ func (t *Tier) Store(e Entry) {
 	if _, ok := t.entries[e.Key]; ok {
 		return
 	}
-	b, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
-	if _, err := t.log.Write(append(b, '\n')); err != nil {
+	if t.log.Append(e) != nil {
 		return
 	}
 	t.entries[e.Key] = e
@@ -228,12 +159,7 @@ func (t *Tier) Close() error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.log == nil {
-		return nil
-	}
-	err := t.log.Close()
-	t.log = nil
-	if err != nil {
+	if err := t.log.Close(); err != nil {
 		return fmt.Errorf("sharedcache: %w", err)
 	}
 	return nil

@@ -213,8 +213,10 @@ func (p *Portfolio) CheckSeeded(negated sym.Expr, randSeed int64) (Result, error
 	}
 	if p.warm != nil {
 		warmQueryKey = stableKey + "|" + strconv.FormatInt(opts.MaxConflicts, 10)
-		if e, ok := p.warm.LookupQuery(warmQueryKey); ok {
-			if res, ok := warmResult(e, system); ok {
+		// The warm path never serves Unknown: a stored Unknown is a miss.
+		if e, ok := p.warm.LookupQuery(warmQueryKey); ok && Status(e.Status) != StatusUnknown {
+			stored := CachedResult{Status: Status(e.Status), Conflicts: e.Conflicts, Model: e.Model}
+			if res, ok := validateShared(stored, system); ok {
 				p.stats.WarmQueryHits++
 				if p.cache != nil {
 					p.cache.store(key, cachedResult{status: res.status, conflicts: res.conflicts, model: cloneEnv(res.model)})
@@ -240,25 +242,6 @@ func (p *Portfolio) CheckSeeded(negated sym.Expr, randSeed int64) (Result, error
 		})
 	}
 	return finishBV(res, system, opts), nil
-}
-
-// warmResult converts a persisted query entry back into a raw result,
-// distrusting satisfying models that no longer satisfy the system (a
-// stale or foreign store must degrade to a miss, never to a wrong
-// verdict).
-func warmResult(e warmstore.QueryEntry, system []sym.Expr) (cachedResult, bool) {
-	switch Status(e.Status) {
-	case StatusUnsat:
-		return cachedResult{status: StatusUnsat, conflicts: e.Conflicts}, true
-	case StatusSat:
-		for _, c := range system {
-			if sym.Eval(c, e.Model) != 1 {
-				return cachedResult{}, false
-			}
-		}
-		return cachedResult{status: StatusSat, conflicts: e.Conflicts, model: e.Model}, true
-	}
-	return cachedResult{}, false
 }
 
 // raceOutcome is one worker's report.

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/exchange"
@@ -166,23 +167,41 @@ func TestPortfolioWarmStart(t *testing.T) {
 	}
 }
 
-// TestPortfolioWarmDistrustsBadModels plants a corrupt Sat entry and
-// checks the portfolio degrades it to a miss instead of returning an
-// invalid model.
+// TestPortfolioWarmDistrustsBadModels plants corrupt and inconclusive
+// entries under the key a Check looks up and checks the portfolio
+// degrades each to a miss (a race) instead of serving it, while a valid
+// entry is served.
 func TestPortfolioWarmDistrustsBadModels(t *testing.T) {
 	x := sym.NewVar("x", 8)
 	system := []sym.Expr{sym.NewBin(sym.OpEq, x, sym.NewConst(7, 8))}
-	e := warmstore.QueryEntry{Status: int(StatusSat), Model: map[string]uint64{"x": 9}}
-	if _, ok := warmResult(e, system); ok {
-		t.Fatal("warmResult trusted a model violating the system")
-	}
-	e.Model["x"] = 7
-	if res, ok := warmResult(e, system); !ok || res.status != StatusSat {
-		t.Fatal("warmResult rejected a valid model")
-	}
-	e.Status = int(StatusUnknown)
-	if _, ok := warmResult(e, system); ok {
-		t.Fatal("warmResult served an inconclusive entry")
+	opts := Options{MaxConflicts: 1000}
+	key := hex.EncodeToString([]byte(sym.StableKey(system))) + "|1000"
+	for _, tc := range []struct {
+		name   string
+		e      warmstore.QueryEntry
+		served bool
+	}{
+		{"model violating the system", warmstore.QueryEntry{Key: key, Status: int(StatusSat), Model: map[string]uint64{"x": 9}}, false},
+		{"valid model", warmstore.QueryEntry{Key: key, Status: int(StatusSat), Model: map[string]uint64{"x": 7}}, true},
+		{"inconclusive entry", warmstore.QueryEntry{Key: key, Status: int(StatusUnknown)}, false},
+	} {
+		w, err := warmstore.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.PutQuery(tc.e)
+		pf := NewPortfolio(context.Background(), PortfolioOptions{Options: opts, Warm: w})
+		res, err := pf.Check(system[0])
+		w.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != StatusSat || res.Model["x"] != 7 {
+			t.Fatalf("%s: got %v/%v, want sat x=7", tc.name, res.Status, res.Model)
+		}
+		if st := pf.Stats(); (st.WarmQueryHits == 1) != tc.served || (st.Races == 1) == tc.served {
+			t.Fatalf("%s: served=%v, stats %+v", tc.name, tc.served, st)
+		}
 	}
 }
 

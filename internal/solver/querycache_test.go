@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/sharedcache"
 	"repro/internal/sym"
-	"repro/internal/warmstore"
 )
 
 // openTier opens a sharedcache tier in a temp dir, failing the test on
@@ -97,45 +96,5 @@ func TestSharedTierRejectsInvalidModel(t *testing.T) {
 	}
 	if st := c.Stats(); st.SharedHits != 0 || st.SharedMisses != 1 {
 		t.Fatalf("poisoned entry was counted as a hit: %+v", st)
-	}
-}
-
-// TestChainQueryCaches exercises the composition: miss in the shared
-// tier falls through to the warmstore, and the hit is backfilled into
-// the earlier tier.
-func TestChainQueryCaches(t *testing.T) {
-	tier := openTier(t, t.TempDir())
-	warm, err := warmstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer warm.Close()
-
-	chain := ChainQueryCaches(nil, SharedTier(tier), WarmQueries(warm))
-	warm.PutQuery(warmstore.QueryEntry{Key: "d:abc:1", Status: int(StatusUnsat), Conflicts: 5})
-
-	res, ok := chain.Lookup("d:abc:1")
-	if !ok || res.Status != StatusUnsat || res.Conflicts != 5 {
-		t.Fatalf("chain lookup: ok=%v res=%+v", ok, res)
-	}
-	// Backfill: the shared tier now answers directly.
-	if e, ok := tier.Lookup("d:abc:1"); !ok || e.Status != int(StatusUnsat) {
-		t.Fatalf("backfill missing from shared tier: ok=%v e=%+v", ok, e)
-	}
-
-	chain.Store("d:xyz:2", CachedResult{Status: StatusSat, Model: map[string]uint64{"m": 4}})
-	if _, ok := tier.Lookup("d:xyz:2"); !ok {
-		t.Fatal("store did not reach the shared tier")
-	}
-	if _, ok := warm.LookupQuery("d:xyz:2"); !ok {
-		t.Fatal("store did not reach the warmstore")
-	}
-
-	if ChainQueryCaches(nil, nil) != nil {
-		t.Fatal("empty chain should collapse to nil")
-	}
-	single := SharedTier(tier)
-	if got := ChainQueryCaches(nil, single); !reflect.DeepEqual(got, single) {
-		t.Fatal("single-tier chain should collapse to the tier itself")
 	}
 }

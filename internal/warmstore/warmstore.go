@@ -4,11 +4,12 @@
 // clause exchange). A later run — or another concolicd replica sharing
 // the directory — warm-starts from it instead of re-solving from cold.
 //
-// Layout: one directory holding an append-only JSONL log (`log.jsonl`,
-// one record per Put) and a snapshot (`snapshot.jsonl`, the same record
-// format, rewritten on Compact/Close). Open replays snapshot then log;
-// a corrupt log tail (crash mid-append) truncates the replay at the
-// first undecodable line instead of failing the open.
+// Layout: one directory holding a journal (internal/journal) —
+// `log.jsonl`, one record appended per Put — and a snapshot
+// (`snapshot.jsonl`, the same record format, rewritten on
+// Compact/Close). Open replays snapshot then log with the journal's
+// crash policy: a torn or corrupt line loses that record only, so a
+// killed process loses at most its final append.
 //
 // Keys are opaque strings chosen by the caller. They must be stable
 // across processes and JSON-safe: the solver layer uses hex-encoded
@@ -20,14 +21,11 @@
 package warmstore
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
+	"repro/internal/journal"
 	"repro/internal/sat"
 )
 
@@ -58,16 +56,14 @@ type record struct {
 }
 
 type clauseRec struct {
-	Key     string    `json:"k"`
-	Clauses [][]int32 `json:"cl"`
+	Key     string      `json:"k"`
+	Clauses [][]sat.Lit `json:"cl"`
 }
 
 // Store is a warm-start store. Safe for concurrent use.
 type Store struct {
 	mu      sync.Mutex
-	dir     string
-	log     *os.File
-	logW    *bufio.Writer
+	log     *journal.Journal
 	queries map[string]QueryEntry
 	clauses map[string]*clausePool
 	hits    int64
@@ -87,55 +83,26 @@ const (
 
 // Open opens (creating if needed) the store rooted at dir.
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	j, err := journal.Open(dir, logName)
+	if err != nil {
 		return nil, fmt.Errorf("warmstore: %w", err)
 	}
 	st := &Store{
-		dir:     dir,
+		log:     j,
 		queries: make(map[string]QueryEntry),
 		clauses: make(map[string]*clausePool),
 	}
-	// Snapshot first, then the log written since it.
-	if err := st.replay(filepath.Join(dir, snapshotName)); err != nil {
-		return nil, err
-	}
-	if err := st.replay(filepath.Join(dir, logName)); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	err = j.Replay(snapshotName, func(line []byte) {
+		var r record
+		if json.Unmarshal(line, &r) == nil {
+			st.apply(r)
+		}
+	})
 	if err != nil {
+		j.Close()
 		return nil, fmt.Errorf("warmstore: %w", err)
 	}
-	st.log = f
-	st.logW = bufio.NewWriter(f)
 	return st, nil
-}
-
-// replay loads one record file into memory. A missing file is fine; a
-// corrupt line ends the replay of that file (torn tail tolerance).
-func (st *Store) replay(path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("warmstore: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var r record
-		if json.Unmarshal(line, &r) != nil {
-			return nil // torn tail: keep what replayed so far
-		}
-		st.apply(r)
-	}
-	return nil
 }
 
 func (st *Store) apply(r record) {
@@ -144,11 +111,7 @@ func (st *Store) apply(r record) {
 		st.queries[r.Q.Key] = *r.Q
 	case r.T == "c" && r.C != nil:
 		p := st.pool(r.C.Key)
-		for _, raw := range r.C.Clauses {
-			lits := make([]sat.Lit, len(raw))
-			for i, l := range raw {
-				lits[i] = sat.Lit(l)
-			}
+		for _, lits := range r.C.Clauses {
 			p.add(lits)
 		}
 	}
@@ -185,16 +148,9 @@ func litsKey(lits []sat.Lit) string {
 }
 
 func (st *Store) append(r record) {
-	if st.logW == nil {
-		return
+	if st.log.Append(r) == nil {
+		st.appends++
 	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		return
-	}
-	st.logW.Write(b)
-	st.logW.WriteByte('\n')
-	st.appends++
 }
 
 // LookupQuery returns the persisted verdict for key, if any. The model
@@ -252,15 +208,11 @@ func (st *Store) PutClauses(key string, clauses [][]sat.Lit) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	p := st.pool(key)
-	var fresh [][]int32
+	var fresh [][]sat.Lit
 	for _, lits := range clauses {
 		cp := append([]sat.Lit(nil), lits...)
 		if p.add(cp) {
-			raw := make([]int32, len(cp))
-			for i, l := range cp {
-				raw[i] = int32(l)
-			}
-			fresh = append(fresh, raw)
+			fresh = append(fresh, cp)
 		}
 	}
 	if len(fresh) > 0 {
@@ -268,86 +220,22 @@ func (st *Store) PutClauses(key string, clauses [][]sat.Lit) {
 	}
 }
 
-// Flush pushes buffered log appends to disk.
-func (st *Store) Flush() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.flushLocked()
-}
-
-func (st *Store) flushLocked() error {
-	if st.logW == nil {
-		return nil
-	}
-	if err := st.logW.Flush(); err != nil {
-		return fmt.Errorf("warmstore: %w", err)
-	}
-	return st.log.Sync()
-}
-
 // Compact rewrites the snapshot from memory and truncates the log.
 func (st *Store) Compact() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	tmp := filepath.Join(st.dir, snapshotName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("warmstore: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
+	recs := make([]any, 0, len(st.queries)+len(st.clauses))
 	for _, e := range st.queries {
-		e := e
-		if err := enc.Encode(record{T: "q", Q: &e}); err != nil {
-			f.Close()
-			return fmt.Errorf("warmstore: %w", err)
-		}
+		recs = append(recs, record{T: "q", Q: &e})
 	}
 	for key, p := range st.clauses {
-		if len(p.list) == 0 {
-			continue
-		}
-		cr := clauseRec{Key: key, Clauses: make([][]int32, len(p.list))}
-		for i, lits := range p.list {
-			raw := make([]int32, len(lits))
-			for j, l := range lits {
-				raw[j] = int32(l)
-			}
-			cr.Clauses[i] = raw
-		}
-		if err := enc.Encode(record{T: "c", C: &cr}); err != nil {
-			f.Close()
-			return fmt.Errorf("warmstore: %w", err)
+		if len(p.list) > 0 {
+			recs = append(recs, record{T: "c", C: &clauseRec{Key: key, Clauses: p.list}})
 		}
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
+	if err := st.log.Compact(snapshotName, recs); err != nil {
 		return fmt.Errorf("warmstore: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("warmstore: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("warmstore: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(st.dir, snapshotName)); err != nil {
-		return fmt.Errorf("warmstore: %w", err)
-	}
-	// The snapshot covers everything: restart the log.
-	if st.logW != nil {
-		st.logW.Flush()
-		st.log.Close()
-	}
-	if err := os.Truncate(filepath.Join(st.dir, logName), 0); err != nil {
-		return fmt.Errorf("warmstore: %w", err)
-	}
-	f, err = os.OpenFile(filepath.Join(st.dir, logName), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("warmstore: %w", err)
-	}
-	st.log = f
-	st.logW = bufio.NewWriter(f)
 	return nil
 }
 
@@ -361,15 +249,8 @@ func (st *Store) Close() error {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.logW != nil {
-		st.logW.Flush()
-	}
-	if st.log != nil {
-		err := st.log.Close()
-		st.log, st.logW = nil, nil
-		if err != nil {
-			return fmt.Errorf("warmstore: %w", err)
-		}
+	if err := st.log.Close(); err != nil {
+		return fmt.Errorf("warmstore: %w", err)
 	}
 	return nil
 }

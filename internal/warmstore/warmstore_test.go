@@ -32,9 +32,6 @@ func TestRoundTrip(t *testing.T) {
 	st.PutQuery(QueryEntry{Key: "q2", Status: 2, Conflicts: 400})
 	st.PutClauses("sysA", [][]sat.Lit{lits(2, 5), lits(7)})
 	st.PutClauses("sysA", [][]sat.Lit{lits(2, 5), lits(9, 11)}) // one dup
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Reload via the append-only log (simulates a crash before Compact).
 	st2, err := Open(dir)
@@ -89,9 +86,6 @@ func TestTornTail(t *testing.T) {
 	}
 	st.PutQuery(QueryEntry{Key: "good", Status: 1})
 	st.PutQuery(QueryEntry{Key: "alsogood", Status: 2})
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	st.log.Close() // abandon without Close: no snapshot
 
 	logPath := filepath.Join(dir, logName)
@@ -115,6 +109,81 @@ func TestTornTail(t *testing.T) {
 	}
 	if _, ok := st2.LookupQuery("torn"); ok {
 		t.Error("resurrected the torn record")
+	}
+}
+
+// tearLog appends an unterminated record fragment to the log, as a
+// process killed mid-append would leave it.
+func tearLog(t *testing.T, dir string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(`{"t":"q","q":{"k":"torn","s"`); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSecondCrashKeepsPostCrashAppends crashes the same directory twice:
+// the appends made between the crashes must survive the second one,
+// neither fused onto the first torn line nor cut off behind it.
+func TestSecondCrashKeepsPostCrashAppends(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.PutQuery(QueryEntry{Key: "before", Status: 1})
+	st.log.Close() // crash: no Close, no snapshot
+	tearLog(t, dir)
+
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2.PutQuery(QueryEntry{Key: "after1", Status: 2})
+	st2.PutQuery(QueryEntry{Key: "after2", Status: 1})
+	st2.log.Close() // second crash
+
+	st3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	for _, k := range []string{"before", "after1", "after2"} {
+		if _, ok := st3.LookupQuery(k); !ok {
+			t.Errorf("entry %q lost across two crashes", k)
+		}
+	}
+	if _, ok := st3.LookupQuery("torn"); ok {
+		t.Error("resurrected the torn record")
+	}
+}
+
+// TestAbandonedPutSurvives checks a PutQuery is on disk as soon as it
+// returns: a handle abandoned without Close must not lose it.
+func TestAbandonedPutSurvives(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.PutQuery(QueryEntry{Key: "q", Status: 1, Model: map[string]uint64{"x": 5}})
+	st.PutClauses("sys", [][]sat.Lit{lits(4, 7)})
+	st.log.Close() // crash: no Close
+
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if e, ok := re.LookupQuery("q"); !ok || e.Model["x"] != 5 {
+		t.Fatalf("abandoned PutQuery lost: %+v ok=%v", e, ok)
+	}
+	if cs := re.Clauses("sys"); len(cs) != 1 {
+		t.Fatalf("abandoned PutClauses lost: %v", cs)
 	}
 }
 
