@@ -5,7 +5,8 @@ GO ?= go
 # ci is the gate: static checks, build, the concurrency-sensitive
 # packages under the race detector, short fuzz smokes on the solver
 # cache key, the interning equivalence property, the COW memory
-# (clone/write vs a deep-copy reference model), the incremental/
+# (clone/write vs a deep-copy reference model), the SAT core under
+# assumptions and imports (vs brute-force enumeration), the incremental/
 # fresh solver equivalence, the portfolio/fresh equivalence, the
 # append-only journal (crashed log plus single- and two-handle appends
 # against a line-split reference model), the job-journal replay
@@ -30,6 +31,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalKey -fuzztime=5s ./internal/sym/
 	$(GO) test -run '^$$' -fuzz FuzzInternEval -fuzztime=5s ./internal/sym/
 	$(GO) test -run '^$$' -fuzz FuzzMemoryCOW -fuzztime=5s ./internal/mem/
+	$(GO) test -run '^$$' -fuzz FuzzSolveAssumingBruteForce -fuzztime=5s ./internal/sat/
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalEquivalence -fuzztime=5s ./internal/solver/
 	$(GO) test -run '^$$' -fuzz FuzzPortfolioEquivalence -fuzztime=5s ./internal/solver/
 	$(GO) test -run '^$$' -fuzz FuzzMutateDeterminism -fuzztime=5s ./internal/mutate/
@@ -44,6 +46,7 @@ test-short:
 	$(GO) test -short ./...
 
 bench:
+	$(GO) test -run '^$$' -bench 'BenchmarkPigeonhole7|BenchmarkPropagationChain|BenchmarkFreshQuery' ./internal/sat/
 	$(GO) test -run '^$$' -bench 'BenchmarkExploreParallel|BenchmarkSolverCacheHitRate' -benchtime 3x ./internal/core/...
 	$(GO) test -run '^$$' -bench 'BenchmarkExploreCheckpointed|BenchmarkExploreFromScratch' -benchtime 3x ./internal/core/...
 	$(GO) test -run '^$$' -bench 'BenchmarkMemClone|BenchmarkMemCloneWriteFault' ./internal/mem/...

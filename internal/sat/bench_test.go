@@ -31,6 +31,7 @@ func pigeonhole(n int) *Solver {
 }
 
 func BenchmarkPigeonhole7(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if st := pigeonhole(7).Solve(0); st != Unsat {
 			b.Fatalf("status %v", st)
@@ -39,6 +40,7 @@ func BenchmarkPigeonhole7(b *testing.B) {
 }
 
 func BenchmarkPropagationChain(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := New()
 		const n = 2000
