@@ -15,8 +15,11 @@ GO ?= go
 # model), then the full suite.
 ci: vet build race fuzz test
 
+# bench/ is its own module (replace repro => ../), invisible to the
+# root ./...; vetting it catches core/service type changes that break it.
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 build:
 	$(GO) build ./...

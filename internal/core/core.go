@@ -161,17 +161,18 @@ type Capabilities struct {
 // Progress is one per-round progress report: the cumulative counters as
 // of the round it follows. Values are deltas-friendly (monotone), and —
 // like the verdict — deterministic for a fixed seed and worker count.
+// The JSON names are the Stats names; concolicd streams it as is.
 type Progress struct {
 	// Round is the 1-based merged round this report follows.
-	Round int
+	Round int `json:"round"`
 	// SolverQueries is the cumulative negation-query count.
-	SolverQueries int
+	SolverQueries int `json:"solver_queries"`
 	// CoveredEdges/CoveredBlocks is the engine tracker's cumulative
 	// coverage.
-	CoveredEdges  int
-	CoveredBlocks int
+	CoveredEdges  int `json:"covered_edges"`
+	CoveredBlocks int `json:"covered_blocks"`
 	// Frontier is the number of pending candidates after the round.
-	Frontier int
+	Frontier int `json:"frontier"`
 }
 
 // SolverMode selects the negation-query solving strategy.
@@ -350,121 +351,6 @@ type Claim struct {
 	PC      uint64
 	Syscall bool // bound syscall-simulation variables (paper outcome P)
 	Input   target.Input
-}
-
-// Stats reports the engine's work profile for one Explore call. Verdict
-// fields of Outcome are deterministic for a fixed seed and worker count;
-// Stats values that depend on wall-clock time or on duplicate work
-// suppressed between parallel rounds (cache counters, wall time) are
-// informational and may vary run to run.
-type Stats struct {
-	// Rounds is the number of merged exploration rounds (equals
-	// Outcome.Rounds).
-	Rounds int
-	// SolverQueries counts negation queries issued by merged rounds.
-	SolverQueries int
-	// CacheHits/CacheMisses/CacheEvictions report the solver query cache.
-	CacheHits      uint64
-	CacheMisses    uint64
-	CacheEvictions uint64
-	// PeakFrontier is the largest number of pending candidates observed
-	// at a batch boundary.
-	PeakFrontier int
-	// Workers is the resolved worker count.
-	Workers int
-	// WallTime is the Explore call's duration.
-	WallTime time.Duration
-	// InternHits/InternMisses report the sym hash-consing arena's lookup
-	// traffic during this Explore call (deltas, not process totals). A
-	// hit means a constructor returned an existing node instead of
-	// allocating — the structural-sharing rate of the workload.
-	InternHits   uint64
-	InternMisses uint64
-	// ArenaNodes is the process-wide arena population after the call:
-	// the number of distinct interned terms alive.
-	ArenaNodes uint64
-
-	// CheckpointsTaken counts resumable machine snapshots captured across
-	// all concrete runs of this Explore call.
-	CheckpointsTaken int
-	// CheckpointResumes counts rounds that started from a snapshot
-	// instead of the program entry point.
-	CheckpointResumes int
-	// InstructionsSkipped sums the shared-prefix instructions that
-	// resumed rounds did not re-execute.
-	InstructionsSkipped int64
-	// PagesCOWFaulted counts guest memory pages copied on write across
-	// all runs (snapshot sharing plus fork sharing).
-	PagesCOWFaulted uint64
-	// PrefixConstraintsReused counts path constraints derived from
-	// replayed trace prefixes rather than from re-traced instructions.
-	PrefixConstraintsReused int
-
-	// SolverSessions counts incremental solver sessions opened (one per
-	// round issuing queries under SolverIncremental; always 0 under
-	// SolverFresh).
-	SolverSessions int
-	// IncrementalChecks counts negation queries decided on a persistent
-	// session instance rather than by a one-shot solve.
-	IncrementalChecks int
-	// LearnedClausesRetained sums, over incremental checks after the
-	// first of each session, the learned clauses carried into the check
-	// from its predecessors — work a fresh-per-query solver re-derives.
-	LearnedClausesRetained int64
-	// GuardLiterals counts guard literals allocated by session encoders
-	// to activate and retire negated constraints.
-	GuardLiterals int
-
-	// PortfolioRaces counts negation queries decided by racing workers
-	// under SolverPortfolio (always 0 otherwise).
-	PortfolioRaces int
-	// PortfolioClausesShared counts learned clauses portfolio workers
-	// published into the per-engine exchange; PortfolioClausesImported
-	// counts adoptions by racing workers (exchange pulls plus warm-store
-	// seeds).
-	PortfolioClausesShared   int64
-	PortfolioClausesImported int64
-	// WarmQueryHits counts negation queries answered from the warm-start
-	// store; WarmClausesSeeded counts stored clauses loaded into race
-	// exchanges.
-	WarmQueryHits     int
-	WarmClausesSeeded int
-
-	// SharedCacheHits/SharedCacheMisses count shared-tier consults on
-	// local cache misses; SharedCacheStores counts write-throughs;
-	// SharedCacheServed counts queries answered by a shared-born entry
-	// (the direct tier hit plus later local re-hits on it). All zero
-	// without Capabilities.SharedCache.
-	SharedCacheHits   uint64
-	SharedCacheMisses uint64
-	SharedCacheStores uint64
-	SharedCacheServed uint64
-
-	// CoveredEdges/CoveredBlocks: distinct lifted-PC edges and static
-	// block leaders covered by this exploration's concrete runs
-	// (concolic rounds plus fuzz breed executions). Deterministic for a
-	// fixed seed across worker counts and checkpoint policies: coverage
-	// is a function of the executed traces, which the scheduler keeps
-	// identical.
-	CoveredEdges  int
-	CoveredBlocks int
-	// NewEdgesPerRound records, per merged round in dispatch order, how
-	// many edges that round's trace covered first.
-	NewEdgesPerRound []int
-	// FuzzExecs counts concrete mutation executions performed by breed
-	// rounds; FuzzSeedsPromoted counts mutants that found new coverage
-	// and joined the frontier as seeds (both 0 unless Capabilities.Fuzz
-	// under SearchCoverage).
-	FuzzExecs         int
-	FuzzSeedsPromoted int
-}
-
-// InternHitRate is InternHits over total lookups, 0 when idle.
-func (s Stats) InternHitRate() float64 {
-	if tot := s.InternHits + s.InternMisses; tot > 0 {
-		return float64(s.InternHits) / float64(tot)
-	}
-	return 0
 }
 
 // Outcome is the engine's result for one directed-search task.

@@ -69,9 +69,11 @@ type event struct {
 
 // roundRec is the full record of one exploration round.
 type roundRec struct {
-	idx     int // 1-based round number, assigned at dispatch
-	events  []event
-	queries int // solver queries issued (stats)
+	idx    int // 1-based round number, assigned at dispatch
+	events []event
+	// stats is the round's counter delta (solver queries, checkpoint,
+	// session and portfolio work), folded into the engine's at merge.
+	stats Stats
 
 	// Coverage payload: the run's per-trace coverage set plus the input
 	// and child plan, so the scheduler can merge coverage in dispatch
@@ -79,32 +81,16 @@ type roundRec struct {
 	cov   *cover.Set
 	input target.Input
 	plan  *replayPlan
-
-	// Checkpoint work profile of this round (stats; deterministic for a
-	// fixed schedule, identical across worker counts).
-	ckptsTaken   int
-	resumed      bool
-	skippedSteps int64
-	cowFaults    uint64
-	prefixReused int
-
-	// Incremental-session work profile of this round (stats; zero under
-	// SolverFresh).
-	sessions        int
-	incChecks       int
-	learnedRetained int64
-	guardLits       int
-
-	// Portfolio work profile of this round (stats; zero outside
-	// SolverPortfolio).
-	pfRaces    int
-	pfShared   int64
-	pfImported int64
-	warmHits   int
-	warmSeeded int
 }
 
 func (r *roundRec) emit(ev event) { r.events = append(r.events, ev) }
+
+// addSession records a closed incremental session's work.
+func (r *roundRec) addSession(st solver.SessionStats) {
+	r.stats.IncrementalChecks += st.IncrementalChecks
+	r.stats.LearnedClausesRetained += st.LearnedRetained
+	r.stats.GuardLiterals += st.GuardLiterals
+}
 
 // roundSolver is the per-round incremental query context negate drives
 // when a persistent mode is selected: solver.Session under
@@ -199,23 +185,7 @@ func (en *Engine) applyRound(rec *roundRec) bool {
 	defer en.emitProgress()
 	en.out.Rounds++
 	en.out.CandidatesTried++
-	en.stats.SolverQueries += rec.queries
-	en.stats.CheckpointsTaken += rec.ckptsTaken
-	en.stats.InstructionsSkipped += rec.skippedSteps
-	en.stats.PagesCOWFaulted += rec.cowFaults
-	en.stats.PrefixConstraintsReused += rec.prefixReused
-	if rec.resumed {
-		en.stats.CheckpointResumes++
-	}
-	en.stats.SolverSessions += rec.sessions
-	en.stats.IncrementalChecks += rec.incChecks
-	en.stats.LearnedClausesRetained += rec.learnedRetained
-	en.stats.GuardLiterals += rec.guardLits
-	en.stats.PortfolioRaces += rec.pfRaces
-	en.stats.PortfolioClausesShared += rec.pfShared
-	en.stats.PortfolioClausesImported += rec.pfImported
-	en.stats.WarmQueryHits += rec.warmHits
-	en.stats.WarmClausesSeeded += rec.warmSeeded
+	en.stats.Add(&rec.stats)
 	if rec.cov != nil {
 		// Coverage merges in dispatch order on the engine thread, so the
 		// per-round novelty counts — and the corpus they feed — are
@@ -312,10 +282,12 @@ func (en *Engine) runRound(c candidate, idx int) *roundRec {
 		rec.emit(event{kind: evTerminal, verdict: VerdictCrashed, detail: err.Error()})
 		return rec
 	}
-	rec.resumed = resumed
-	rec.skippedSteps = skipped
-	rec.ckptsTaken = len(m.Snapshots())
-	rec.cowFaults = m.COWFaults()
+	if resumed {
+		rec.stats.CheckpointResumes = 1
+	}
+	rec.stats.InstructionsSkipped = skipped
+	rec.stats.CheckpointsTaken = len(m.Snapshots())
+	rec.stats.PagesCOWFaulted = m.COWFaults()
 	// Every concrete trace feeds coverage, whatever the strategy: the
 	// counters stay comparable across strategies, and checkpointed runs
 	// contribute identical sets (the stitched prefix replays the same
@@ -387,10 +359,10 @@ func (en *Engine) runRound(c candidate, idx int) *roundRec {
 
 	// Constraints anchored inside the replayed prefix were derived from
 	// trace entries this round did not re-execute.
-	if rec.resumed {
+	if resumed {
 		for i := range sr.Constraints {
 			if sr.Constraints[i].Index < prefixLen {
-				rec.prefixReused++
+				rec.stats.PrefixConstraintsReused++
 			}
 		}
 	}
@@ -487,13 +459,8 @@ func (en *Engine) negate(rec *roundRec, cur target.Input, sr *symexec.Result, tr
 			Cache: en.sessionCache(),
 		})
 		sess = s
-		rec.sessions++
-		defer func() {
-			st := s.Stats()
-			rec.incChecks += st.IncrementalChecks
-			rec.learnedRetained += st.LearnedRetained
-			rec.guardLits += st.GuardLiterals
-		}()
+		rec.stats.SolverSessions++
+		defer func() { rec.addSession(s.Stats()) }()
 	case en.caps.SolverMode == SolverPortfolio && len(sr.Constraints) > 0:
 		p := solver.NewPortfolio(en.ctx, solver.PortfolioOptions{
 			Options:  queryOpts,
@@ -503,18 +470,15 @@ func (en *Engine) negate(rec *roundRec, cur target.Input, sr *symexec.Result, tr
 			Warm:     en.caps.Warm,
 		})
 		sess = p
-		rec.sessions++
+		rec.stats.SolverSessions++
 		defer func() {
+			rec.addSession(p.SessionStats())
 			st := p.Stats()
-			ss := p.SessionStats()
-			rec.incChecks += ss.IncrementalChecks
-			rec.learnedRetained += ss.LearnedRetained
-			rec.guardLits += ss.GuardLiterals
-			rec.pfRaces += st.Races
-			rec.pfShared += st.ClausesShared
-			rec.pfImported += st.ClausesImported
-			rec.warmHits += st.WarmQueryHits
-			rec.warmSeeded += st.WarmClausesSeeded
+			rec.stats.PortfolioRaces += st.Races
+			rec.stats.PortfolioClausesShared += st.ClausesShared
+			rec.stats.PortfolioClausesImported += st.ClausesImported
+			rec.stats.WarmQueryHits += st.WarmQueryHits
+			rec.stats.WarmClausesSeeded += st.WarmClausesSeeded
 		}()
 	}
 	n := len(sr.Constraints)
@@ -590,7 +554,7 @@ func (en *Engine) negate(rec *roundRec, cur target.Input, sr *symexec.Result, tr
 			continue
 		}
 
-		rec.queries++
+		rec.stats.SolverQueries++
 		var resu solver.Result
 		var err error
 		if sess != nil {

@@ -58,20 +58,7 @@ type fleetResult struct {
 		Files   map[string][]byte `json:"files"`
 		Env     map[string]string `json:"env"`
 	} `json:"input"`
-	Stats struct {
-		Workers           int    `json:"workers"`
-		SolverQueries     int    `json:"solver_queries"`
-		CacheHits         uint64 `json:"cache_hits"`
-		CacheMisses       uint64 `json:"cache_misses"`
-		PeakFrontier      int    `json:"peak_frontier"`
-		WallMS            int64  `json:"wall_ms"`
-		CoveredEdges      int    `json:"covered_edges"`
-		CoveredBlocks     int    `json:"covered_blocks"`
-		SharedCacheHits   uint64 `json:"sharedcache_hits"`
-		SharedCacheMisses uint64 `json:"sharedcache_misses"`
-		SharedCacheStores uint64 `json:"sharedcache_stores"`
-		SharedCacheServed uint64 `json:"sharedcache_served"`
-	} `json:"stats"`
+	Stats core.Stats `json:"stats"`
 }
 
 var fleetHTTP = &http.Client{Timeout: 10 * time.Second}
@@ -258,7 +245,8 @@ func fleetWait(endpoint, id string, every time.Duration, deadline time.Time) (*f
 // overrides and the paper comparison are profile knowledge, applied
 // here exactly as RunCell applies them. The synthesized Outcome carries
 // the verdict and the wire work profile — enough for rendering and the
-// JSON export, not a full engine transcript.
+// JSON export (every Stats counter rides on the wire), not a full
+// engine transcript.
 func cellFromView(b *bombs.Bomb, p tools.Profile, paperIdx int, v *fleetView) (*Cell, error) {
 	if v.Result == nil {
 		return nil, fmt.Errorf("done without result")
@@ -272,19 +260,7 @@ func cellFromView(b *bombs.Bomb, p tools.Profile, paperIdx int, v *fleetView) (*
 		CrashDetail: v.Result.Detail,
 		Rounds:      v.Result.Rounds,
 	}
-	out.Stats.Workers = v.Result.Stats.Workers
-	out.Stats.Rounds = v.Result.Rounds
-	out.Stats.SolverQueries = v.Result.Stats.SolverQueries
-	out.Stats.CacheHits = v.Result.Stats.CacheHits
-	out.Stats.CacheMisses = v.Result.Stats.CacheMisses
-	out.Stats.PeakFrontier = v.Result.Stats.PeakFrontier
-	out.Stats.WallTime = time.Duration(v.Result.Stats.WallMS) * time.Millisecond
-	out.Stats.CoveredEdges = v.Result.Stats.CoveredEdges
-	out.Stats.CoveredBlocks = v.Result.Stats.CoveredBlocks
-	out.Stats.SharedCacheHits = v.Result.Stats.SharedCacheHits
-	out.Stats.SharedCacheMisses = v.Result.Stats.SharedCacheMisses
-	out.Stats.SharedCacheStores = v.Result.Stats.SharedCacheStores
-	out.Stats.SharedCacheServed = v.Result.Stats.SharedCacheServed
+	out.Stats = v.Result.Stats
 	if in := v.Result.Input; in != nil {
 		out.Input = bombs.Input{Argv1: in.Argv1, TimeNow: in.TimeNow, Pid: in.Pid,
 			Web: in.Web, Files: in.Files, Env: in.Env}

@@ -2,8 +2,10 @@ package eval
 
 import (
 	"encoding/json"
+	"fmt"
 
 	"repro/internal/bombs"
+	"repro/internal/core"
 )
 
 // The JSON rendering of a Table II run: the grid plus the aggregate
@@ -39,46 +41,41 @@ type RowJSON struct {
 	Cells    map[string]CellJSON `json:"cells"` // tool -> cell
 }
 
-// AggStatsJSON sums the engine work profile over every cell.
+// AggStatsJSON is the engine work profile over every cell: the cell
+// count, the cells' Stats folded by core.Stats.Add (counters summed,
+// peaks maxed), and the two lookup ratios of the totals.
 type AggStatsJSON struct {
-	Cells          int     `json:"cells"`
-	Rounds         int     `json:"rounds"`
-	SolverQueries  int     `json:"solver_queries"`
-	CacheHits      uint64  `json:"cache_hits"`
-	CacheMisses    uint64  `json:"cache_misses"`
-	CacheEvictions uint64  `json:"cache_evictions"`
-	CacheHitRate   float64 `json:"cache_hit_rate"`
-	// Hash-consing arena traffic, summed over cells; ArenaNodes is the
-	// final process-wide population (last cell wins, not a sum).
-	InternHits    uint64  `json:"intern_hits"`
-	InternMisses  uint64  `json:"intern_misses"`
+	Cells int
+	core.Stats
+	CacheHitRate  float64
+	InternHitRate float64
+}
+
+type aggRates struct {
+	CacheHitRate  float64 `json:"cache_hit_rate"`
 	InternHitRate float64 `json:"intern_hit_rate"`
-	ArenaNodes    uint64  `json:"arena_nodes"`
-	// Checkpoint-scheduler work profile, summed over cells.
-	CheckpointsTaken        int    `json:"checkpoints_taken"`
-	CheckpointResumes       int    `json:"checkpoint_resumes"`
-	InstructionsSkipped     int64  `json:"instructions_skipped"`
-	PagesCOWFaulted         uint64 `json:"pages_cow_faulted"`
-	PrefixConstraintsReused int    `json:"prefix_constraints_reused"`
-	// Incremental-session work profile, summed over cells (all zero when
-	// the grid ran with core.SolverFresh).
-	SolverSessions         int   `json:"solver_sessions"`
-	IncrementalChecks      int   `json:"incremental_checks"`
-	LearnedClausesRetained int64 `json:"learned_retained"`
-	GuardLiterals          int   `json:"guard_literals"`
-	// Portfolio work profile, summed over cells (all zero outside
-	// core.SolverPortfolio).
-	PortfolioRaces           int   `json:"portfolio_races"`
-	PortfolioClausesShared   int64 `json:"portfolio_clauses_shared"`
-	PortfolioClausesImported int64 `json:"portfolio_clauses_imported"`
-	WarmQueryHits            int   `json:"warmstart_query_hits"`
-	WarmClausesSeeded        int   `json:"warmstart_clauses_seeded"`
-	// Coverage and hybrid-fuzzing work profile, summed over cells.
-	CoveredEdges      int   `json:"covered_edges"`
-	CoveredBlocks     int   `json:"covered_blocks"`
-	FuzzExecs         int   `json:"fuzz_execs"`
-	FuzzSeedsPromoted int   `json:"fuzz_seeds_promoted"`
-	WallMS            int64 `json:"wall_ms"` // summed per-cell engine time
+}
+
+// MarshalJSON flattens the cell count, the counters and the ratios into
+// one object.
+func (a AggStatsJSON) MarshalJSON() ([]byte, error) {
+	stats, _ := a.Stats.MarshalJSON()
+	rates, err := json.Marshal(aggRates{a.CacheHitRate, a.InternHitRate})
+	b := fmt.Appendf(nil, `{"cells":%d,%s,`, a.Cells, stats[1:len(stats)-1])
+	return append(b, rates[1:]...), err
+}
+
+// UnmarshalJSON reads the flattened object back.
+func (a *AggStatsJSON) UnmarshalJSON(data []byte) error {
+	var x struct {
+		Cells int `json:"cells"`
+		aggRates
+	}
+	if err := json.Unmarshal(data, &x); err != nil {
+		return err
+	}
+	a.Cells, a.CacheHitRate, a.InternHitRate = x.Cells, x.CacheHitRate, x.InternHitRate
+	return a.Stats.UnmarshalJSON(data)
 }
 
 // GridJSON is the full machine-readable Table II report.
@@ -139,46 +136,13 @@ func ToJSON(g *Grid) *GridJSON {
 			if c.Got == bombs.OK {
 				out.Solved[tool]++
 			}
-			s := c.Outcome.Stats
 			out.Stats.Cells++
-			out.Stats.Rounds += s.Rounds
-			out.Stats.SolverQueries += s.SolverQueries
-			out.Stats.CacheHits += s.CacheHits
-			out.Stats.CacheMisses += s.CacheMisses
-			out.Stats.CacheEvictions += s.CacheEvictions
-			out.Stats.InternHits += s.InternHits
-			out.Stats.InternMisses += s.InternMisses
-			if s.ArenaNodes > out.Stats.ArenaNodes {
-				out.Stats.ArenaNodes = s.ArenaNodes
-			}
-			out.Stats.CheckpointsTaken += s.CheckpointsTaken
-			out.Stats.CheckpointResumes += s.CheckpointResumes
-			out.Stats.InstructionsSkipped += s.InstructionsSkipped
-			out.Stats.PagesCOWFaulted += s.PagesCOWFaulted
-			out.Stats.PrefixConstraintsReused += s.PrefixConstraintsReused
-			out.Stats.SolverSessions += s.SolverSessions
-			out.Stats.IncrementalChecks += s.IncrementalChecks
-			out.Stats.LearnedClausesRetained += s.LearnedClausesRetained
-			out.Stats.GuardLiterals += s.GuardLiterals
-			out.Stats.PortfolioRaces += s.PortfolioRaces
-			out.Stats.PortfolioClausesShared += s.PortfolioClausesShared
-			out.Stats.PortfolioClausesImported += s.PortfolioClausesImported
-			out.Stats.WarmQueryHits += s.WarmQueryHits
-			out.Stats.WarmClausesSeeded += s.WarmClausesSeeded
-			out.Stats.CoveredEdges += s.CoveredEdges
-			out.Stats.CoveredBlocks += s.CoveredBlocks
-			out.Stats.FuzzExecs += s.FuzzExecs
-			out.Stats.FuzzSeedsPromoted += s.FuzzSeedsPromoted
-			out.Stats.WallMS += s.WallTime.Milliseconds()
+			out.Stats.Add(&c.Outcome.Stats)
 		}
 		out.Rows = append(out.Rows, row)
 	}
-	if lookups := out.Stats.CacheHits + out.Stats.CacheMisses; lookups > 0 {
-		out.Stats.CacheHitRate = float64(out.Stats.CacheHits) / float64(lookups)
-	}
-	if lookups := out.Stats.InternHits + out.Stats.InternMisses; lookups > 0 {
-		out.Stats.InternHitRate = float64(out.Stats.InternHits) / float64(lookups)
-	}
+	out.Stats.CacheHitRate = out.Stats.Stats.CacheHitRate()
+	out.Stats.InternHitRate = out.Stats.Stats.InternHitRate()
 	out.Match, out.Total = g.Matches()
 	return out
 }

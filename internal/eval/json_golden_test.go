@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -116,5 +117,38 @@ func TestGridJSONGolden(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("stwrite row missing from report")
+	}
+}
+
+// TestGridJSONStatsKeysKept pins the aggregate stats keys evaltable
+// -json has always emitted, with their golden values: the counter
+// schema may add keys, never rename or drop one.
+func TestGridJSONStatsKeysKept(t *testing.T) {
+	raw, err := MarshalGrid(goldenGrid(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Stats map[string]float64 `json:"stats"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]float64{
+		"cells": 4, "rounds": 14, "solver_queries": 22, "cache_hits": 28,
+		"cache_misses": 12, "cache_evictions": 0, "cache_hit_rate": 0.7,
+		"intern_hits": 400, "intern_misses": 200, "intern_hit_rate": 400.0 / 600,
+		"arena_nodes": 50, "checkpoints_taken": 0, "checkpoint_resumes": 0,
+		"instructions_skipped": 0, "pages_cow_faulted": 0,
+		"prefix_constraints_reused": 0, "solver_sessions": 0,
+		"incremental_checks": 0, "learned_retained": 0, "guard_literals": 0,
+		"portfolio_races": 0, "portfolio_clauses_shared": 0,
+		"portfolio_clauses_imported": 0, "warmstart_query_hits": 0,
+		"warmstart_clauses_seeded": 0, "covered_edges": 48, "covered_blocks": 36,
+		"fuzz_execs": 0, "fuzz_seeds_promoted": 0, "wall_ms": 500,
+	} {
+		if got, ok := doc.Stats[key]; !ok || got != want {
+			t.Errorf("stats.%s = %v (present %v), want %v", key, got, ok, want)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/bombs"
+	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/sharedcache"
 	"repro/internal/solver"
@@ -63,6 +64,44 @@ func TestFleetStealsQueuedJobs(t *testing.T) {
 	}
 	if v := metricValue(t, tsB, "concolicd_steal_stolen_total"); v < 1 {
 		t.Errorf("stealer stolen counter = %v, want >= 1", v)
+	}
+}
+
+// TestStolenJobCountersReachOwner: a stolen job's engine counters travel
+// back in its wire result and land on the owner's /metrics, exactly as a
+// local job's would.
+func TestStolenJobCountersReachOwner(t *testing.T) {
+	_, tsA := newTestServer(t, Config{
+		Workers: 1, QueueDepth: 4, ResolveProfile: slowResolver,
+		Replica: "a",
+	})
+	newTestServer(t, Config{
+		Workers: 1, QueueDepth: 4, ResolveProfile: fastResolve,
+		Replica: "b", Peers: []string{tsA.URL}, StealInterval: 20 * time.Millisecond,
+	})
+
+	// The blocker keeps A's worker busy and has not finished, so A's
+	// engine counters hold the stolen job's alone.
+	_, blocker := postJob(t, tsA, Request{Bomb: "sha1", Tool: "reference", Workers: 1})
+	waitState(t, tsA, blocker.ID, StateRunning, 10*time.Second)
+	_, victim := postJob(t, tsA, Request{Bomb: "jump", Tool: "reference", Workers: 1})
+	done := waitState(t, tsA, victim.ID, StateDone, 30*time.Second)
+	if done.Replica != "b" || done.Result == nil {
+		t.Fatalf("victim not stolen: replica %q result %+v", done.Replica, done.Result)
+	}
+	st := done.Result.Stats
+	for name, want := range map[string]int{
+		"concolicd_engine_rounds_total":     done.Result.Rounds,
+		"concolicd_solver_queries_total":    st.SolverQueries,
+		"concolicd_checkpoints_taken_total": st.CheckpointsTaken,
+		"concolicd_cover_edges_total":       st.CoveredEdges,
+	} {
+		if got := metricValue(t, tsA, name); got != float64(want) || want == 0 {
+			t.Errorf("owner %s = %v, want the stolen job's %d (nonzero)", name, got, want)
+		}
+	}
+	if r := cancelJob(t, tsA, blocker.ID); r.StatusCode != http.StatusOK {
+		t.Fatalf("cancel blocker: %d", r.StatusCode)
 	}
 }
 
@@ -178,7 +217,8 @@ func TestSharedTierWarmMajority(t *testing.T) {
 // TestFleetGridMatchesSingleNode is the fleet acceptance differential:
 // a two-replica fleet sharing one cache tier replays the full Table II
 // grid, and every cell's verdict and label must be byte-identical to
-// the single-node in-process grid.
+// the single-node in-process grid, and so must the work counters of
+// every cell not cut short by a wall-clock budget.
 func TestFleetGridMatchesSingleNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-grid fleet comparison is slow; run without -short")
@@ -220,6 +260,31 @@ func TestFleetGridMatchesSingleNode(t *testing.T) {
 			if got.Outcome.Verdict != ref.Outcome.Verdict {
 				diffs = append(diffs, fmt.Sprintf("%s/%s: fleet verdict %s vs single-node %s",
 					b.Name, tool, got.Outcome.Verdict, ref.Outcome.Verdict))
+			}
+			// The work counters ride the wire too, and match wherever the
+			// exploration ends on its own. A budget-exhausted cell stops
+			// when a wall-clock budget (TotalBudget, SolverTimeout) binds,
+			// so how far it got depends on machine load (sha1/Angr has
+			// ended after 5, 6 and 8 rounds under different loads).
+			if ref.Outcome.Verdict == core.VerdictBudget {
+				continue
+			}
+			gs, rs := got.Outcome.Stats, ref.Outcome.Stats
+			for _, c := range []struct {
+				name      string
+				got, want int
+			}{
+				{"rounds", gs.Rounds, rs.Rounds},
+				{"solver_queries", gs.SolverQueries, rs.SolverQueries},
+				{"covered_edges", gs.CoveredEdges, rs.CoveredEdges},
+				{"covered_blocks", gs.CoveredBlocks, rs.CoveredBlocks},
+				{"checkpoints_taken", gs.CheckpointsTaken, rs.CheckpointsTaken},
+				{"checkpoint_resumes", gs.CheckpointResumes, rs.CheckpointResumes},
+			} {
+				if c.got != c.want {
+					diffs = append(diffs, fmt.Sprintf("%s/%s: fleet %s %d vs single-node %d",
+						b.Name, tool, c.name, c.got, c.want))
+				}
 			}
 		}
 	}

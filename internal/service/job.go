@@ -159,31 +159,6 @@ func (r *Request) searchStrategy() (core.SearchStrategy, error) {
 	return core.ParseSearchStrategy(r.Strategy)
 }
 
-// RunStats is the engine work profile exposed per job.
-type RunStats struct {
-	Workers       int    `json:"workers"`
-	SolverQueries int    `json:"solver_queries"`
-	CacheHits     uint64 `json:"cache_hits"`
-	CacheMisses   uint64 `json:"cache_misses"`
-	PeakFrontier  int    `json:"peak_frontier"`
-	WallMS        int64  `json:"wall_ms"`
-	// Portfolio/warm-start profile (zero outside solver=portfolio).
-	PortfolioRaces    int   `json:"portfolio_races,omitempty"`
-	ClausesShared     int64 `json:"portfolio_clauses_shared,omitempty"`
-	WarmQueryHits     int   `json:"warmstart_query_hits,omitempty"`
-	WarmClausesSeeded int   `json:"warmstart_clauses_seeded,omitempty"`
-	// Coverage/fuzz profile.
-	CoveredEdges      int `json:"covered_edges,omitempty"`
-	CoveredBlocks     int `json:"covered_blocks,omitempty"`
-	FuzzExecs         int `json:"fuzz_execs,omitempty"`
-	FuzzSeedsPromoted int `json:"fuzz_seeds_promoted,omitempty"`
-	// Cross-replica shared-cache profile (zero without -sharedcache).
-	SharedCacheHits   uint64 `json:"sharedcache_hits,omitempty"`
-	SharedCacheMisses uint64 `json:"sharedcache_misses,omitempty"`
-	SharedCacheStores uint64 `json:"sharedcache_stores,omitempty"`
-	SharedCacheServed uint64 `json:"sharedcache_served,omitempty"`
-}
-
 // SolvedInput is the detonating input of a solved job. Files values are
 // base64 on the wire (encoding/json []byte convention).
 type SolvedInput struct {
@@ -205,7 +180,7 @@ type Result struct {
 	Detail  string       `json:"detail,omitempty"`
 	Rounds  int          `json:"rounds"`
 	Input   *SolvedInput `json:"input,omitempty"`
-	Stats   RunStats     `json:"stats"`
+	Stats   core.Stats   `json:"stats"` // every engine counter, under its schema name
 }
 
 // resultFrom projects an engine outcome into the wire result.
@@ -215,26 +190,7 @@ func resultFrom(out *core.Outcome) *Result {
 		Label:   string(eval.Classify(out)),
 		Detail:  out.CrashDetail,
 		Rounds:  out.Rounds,
-		Stats: RunStats{
-			Workers:           out.Stats.Workers,
-			SolverQueries:     out.Stats.SolverQueries,
-			CacheHits:         out.Stats.CacheHits,
-			CacheMisses:       out.Stats.CacheMisses,
-			PeakFrontier:      out.Stats.PeakFrontier,
-			WallMS:            out.Stats.WallTime.Milliseconds(),
-			PortfolioRaces:    out.Stats.PortfolioRaces,
-			ClausesShared:     out.Stats.PortfolioClausesShared,
-			WarmQueryHits:     out.Stats.WarmQueryHits,
-			WarmClausesSeeded: out.Stats.WarmClausesSeeded,
-			CoveredEdges:      out.Stats.CoveredEdges,
-			CoveredBlocks:     out.Stats.CoveredBlocks,
-			FuzzExecs:         out.Stats.FuzzExecs,
-			FuzzSeedsPromoted: out.Stats.FuzzSeedsPromoted,
-			SharedCacheHits:   out.Stats.SharedCacheHits,
-			SharedCacheMisses: out.Stats.SharedCacheMisses,
-			SharedCacheStores: out.Stats.SharedCacheStores,
-			SharedCacheServed: out.Stats.SharedCacheServed,
-		},
+		Stats:   out.Stats,
 	}
 	if out.Verdict == core.VerdictSolved {
 		res.Input = &SolvedInput{
@@ -254,12 +210,8 @@ func resultFrom(out *core.Outcome) *Result {
 // the event's position in the job's progress sequence, the cursor for
 // resuming a stream.
 type ProgressEvent struct {
-	Seq           int `json:"seq"`
-	Round         int `json:"round"`
-	SolverQueries int `json:"solver_queries"`
-	CoveredEdges  int `json:"covered_edges"`
-	CoveredBlocks int `json:"covered_blocks"`
-	Frontier      int `json:"frontier"`
+	Seq int `json:"seq"`
+	core.Progress
 }
 
 // Job is one queued analysis. All fields are guarded by the owning

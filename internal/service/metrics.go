@@ -12,8 +12,8 @@ import (
 
 // Metrics aggregates the service counters and renders them in the
 // Prometheus text exposition format, hand-rolled so the service carries
-// no dependency. Engine-level counters come from each finished job's
-// Outcome.Stats.
+// no dependency. Engine-level counters are each finished job's
+// core.Stats, merged and rendered from the Stats schema.
 type Metrics struct {
 	mu sync.Mutex
 
@@ -22,37 +22,7 @@ type Metrics struct {
 	running   int
 	finished  map[State]uint64
 
-	rounds        uint64
-	solverQueries uint64
-	cacheHits     uint64
-	cacheMisses   uint64
-
-	checkpointsTaken    uint64
-	checkpointResumes   uint64
-	instructionsSkipped uint64
-	pagesCOWFaulted     uint64
-	prefixReused        uint64
-
-	solverSessions    uint64
-	incrementalChecks uint64
-	learnedRetained   uint64
-	guardLiterals     uint64
-
-	portfolioRaces    uint64
-	portfolioShared   uint64
-	portfolioImported uint64
-	warmQueryHits     uint64
-	warmClausesSeeded uint64
-
-	coveredEdges      uint64
-	coveredBlocks     uint64
-	fuzzExecs         uint64
-	fuzzSeedsPromoted uint64
-
-	sharedHits   uint64
-	sharedMisses uint64
-	sharedStores uint64
-	sharedServed uint64
+	engine core.Stats // finished jobs' engine counters, merged by Add
 
 	rateLimited   uint64
 	leased        uint64 // jobs leased out to stealers
@@ -130,78 +100,39 @@ func (m *Metrics) LeaseExpired() {
 }
 
 // JobFinishedRemote counts a stolen job's result arriving from its
-// stealer. The engine ran elsewhere, so the only engine counters
-// available are the wire RunStats — the shared-cache profile among
-// them, which is exactly what fleet observability needs.
+// stealer. The engine ran elsewhere; its counters arrive in the wire
+// result and merge exactly as a local job's do.
 func (m *Metrics) JobFinishedRemote(state State, res *Result, wasRunning bool) {
+	var st *core.Stats
+	if res != nil {
+		st = &res.Stats
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.finished[state]++
 	m.remoteResults++
-	if wasRunning {
-		m.running--
-	}
-	if res == nil {
-		return
-	}
-	m.solverQueries += uint64(res.Stats.SolverQueries)
-	m.cacheHits += res.Stats.CacheHits
-	m.cacheMisses += res.Stats.CacheMisses
-	m.sharedHits += res.Stats.SharedCacheHits
-	m.sharedMisses += res.Stats.SharedCacheMisses
-	m.sharedStores += res.Stats.SharedCacheStores
-	m.sharedServed += res.Stats.SharedCacheServed
-	sec := float64(res.Stats.WallMS) / 1000
-	m.wallSum += sec
-	m.wallCount++
-	for i, bound := range wallBucketBounds {
-		if sec <= bound {
-			m.wallBuckets[i]++
-			break
-		}
-	}
+	m.finish(state, st, wasRunning)
 }
 
-// JobFinished counts a terminal transition. out may be nil (a job
+// JobFinished counts a terminal transition. st may be nil (a job
 // cancelled while queued never ran); wasRunning balances the running
 // gauge.
-func (m *Metrics) JobFinished(state State, out *core.Outcome, wasRunning bool) {
+func (m *Metrics) JobFinished(state State, st *core.Stats, wasRunning bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.finish(state, st, wasRunning)
+}
+
+// finish is the shared terminal-transition merge; call with m.mu held.
+func (m *Metrics) finish(state State, st *core.Stats, wasRunning bool) {
 	m.finished[state]++
 	if wasRunning {
 		m.running--
 	}
-	if out == nil {
+	if st == nil {
 		return
 	}
-	m.rounds += uint64(out.Stats.Rounds)
-	m.solverQueries += uint64(out.Stats.SolverQueries)
-	m.cacheHits += out.Stats.CacheHits
-	m.cacheMisses += out.Stats.CacheMisses
-	m.checkpointsTaken += uint64(out.Stats.CheckpointsTaken)
-	m.checkpointResumes += uint64(out.Stats.CheckpointResumes)
-	m.instructionsSkipped += uint64(out.Stats.InstructionsSkipped)
-	m.pagesCOWFaulted += out.Stats.PagesCOWFaulted
-	m.prefixReused += uint64(out.Stats.PrefixConstraintsReused)
-	m.solverSessions += uint64(out.Stats.SolverSessions)
-	m.incrementalChecks += uint64(out.Stats.IncrementalChecks)
-	m.learnedRetained += uint64(out.Stats.LearnedClausesRetained)
-	m.guardLiterals += uint64(out.Stats.GuardLiterals)
-	m.portfolioRaces += uint64(out.Stats.PortfolioRaces)
-	m.portfolioShared += uint64(out.Stats.PortfolioClausesShared)
-	m.portfolioImported += uint64(out.Stats.PortfolioClausesImported)
-	m.warmQueryHits += uint64(out.Stats.WarmQueryHits)
-	m.warmClausesSeeded += uint64(out.Stats.WarmClausesSeeded)
-	m.coveredEdges += uint64(out.Stats.CoveredEdges)
-	m.coveredBlocks += uint64(out.Stats.CoveredBlocks)
-	m.fuzzExecs += uint64(out.Stats.FuzzExecs)
-	m.fuzzSeedsPromoted += uint64(out.Stats.FuzzSeedsPromoted)
-	m.sharedHits += out.Stats.SharedCacheHits
-	m.sharedMisses += out.Stats.SharedCacheMisses
-	m.sharedStores += out.Stats.SharedCacheStores
-	m.sharedServed += out.Stats.SharedCacheServed
-	sec := out.Stats.WallTime.Seconds()
+	m.engine.Add(st)
+	sec := st.WallTime.Seconds()
 	m.wallSum += sec
 	m.wallCount++
 	for i, bound := range wallBucketBounds {
@@ -219,12 +150,11 @@ func (m *Metrics) Render(queueDepth, queueCap, workers int) string {
 	defer m.mu.Unlock()
 
 	var b strings.Builder
-	gauge := func(name, help string, v interface{}) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
+	series := func(name, help, typ string, v interface{}) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, typ, name, v)
 	}
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
+	gauge := func(name, help string, v interface{}) { series(name, help, "gauge", v) }
+	counter := func(name, help string, v uint64) { series(name, help, "counter", v) }
 
 	counter("concolicd_jobs_submitted_total", "Jobs accepted into the queue.", m.submitted)
 	counter("concolicd_jobs_rejected_total", "Submissions rejected with 429 (queue full).", m.rejected)
@@ -241,48 +171,19 @@ func (m *Metrics) Render(queueDepth, queueCap, workers int) string {
 	gauge("concolicd_queue_capacity", "Queue bound; submissions beyond it receive 429.", queueCap)
 	gauge("concolicd_workers", "Worker pool size.", workers)
 
-	counter("concolicd_engine_rounds_total", "Exploration rounds across finished jobs.", m.rounds)
-	counter("concolicd_solver_queries_total", "Negation queries across finished jobs.", m.solverQueries)
-	counter("concolicd_solver_cache_hits_total", "Solver query cache hits across finished jobs.", m.cacheHits)
-	counter("concolicd_solver_cache_misses_total", "Solver query cache misses across finished jobs.", m.cacheMisses)
-	hitRate := 0.0
-	if lookups := m.cacheHits + m.cacheMisses; lookups > 0 {
-		hitRate = float64(m.cacheHits) / float64(lookups)
+	for _, f := range core.StatFields() {
+		if f.Prom == "" {
+			continue
+		}
+		series(f.Prom, f.Help, "counter", f.Format(&m.engine))
 	}
-	gauge("concolicd_solver_cache_hit_ratio", "Cache hits over lookups across finished jobs.", fmt.Sprintf("%.4f", hitRate))
-
-	counter("concolicd_checkpoints_taken_total", "Machine snapshots recorded across finished jobs.", m.checkpointsTaken)
-	counter("concolicd_checkpoint_resumes_total", "Rounds resumed from a snapshot instead of _start.", m.checkpointResumes)
-	counter("concolicd_checkpoint_instructions_skipped_total", "Guest instructions skipped via checkpointed replay.", m.instructionsSkipped)
-	counter("concolicd_checkpoint_cow_faults_total", "Memory pages copied on write under snapshot sharing.", m.pagesCOWFaulted)
-	counter("concolicd_checkpoint_prefix_constraints_total", "Path constraints re-derived from replayed trace prefixes.", m.prefixReused)
-
-	counter("concolicd_solver_incremental_sessions_total", "Per-round incremental solver sessions opened across finished jobs.", m.solverSessions)
-	counter("concolicd_solver_incremental_checks_total", "Negation queries answered inside an incremental session.", m.incrementalChecks)
-	counter("concolicd_solver_incremental_learned_retained_total", "Learned clauses alive at the start of a follow-up incremental check.", m.learnedRetained)
-	counter("concolicd_solver_incremental_guard_literals_total", "Guard literals allocated to activate per-check assertions.", m.guardLiterals)
-
-	counter("concolicd_solver_portfolio_races_total", "Negation queries raced across diversified portfolio workers.", m.portfolioRaces)
-	counter("concolicd_solver_portfolio_clauses_shared_total", "Learned clauses published to the portfolio exchange.", m.portfolioShared)
-	counter("concolicd_solver_portfolio_clauses_imported_total", "Exchange clauses adopted by a peer portfolio worker.", m.portfolioImported)
-	counter("concolicd_warmstart_query_hits_total", "Negation queries answered from the warm-start store.", m.warmQueryHits)
-	counter("concolicd_warmstart_clauses_seeded_total", "Stored clauses seeded into portfolio races.", m.warmClausesSeeded)
-
-	counter("concolicd_sharedcache_hits_total", "Negation queries answered by the cross-replica shared cache tier.", m.sharedHits)
-	counter("concolicd_sharedcache_misses_total", "Shared-tier lookups that fell through to a local solve.", m.sharedMisses)
-	counter("concolicd_sharedcache_stores_total", "Locally solved queries published to the shared tier.", m.sharedStores)
-	counter("concolicd_sharedcache_served_total", "Queries ultimately served by shared-tier-born results (direct hits plus local re-hits).", m.sharedServed)
+	gauge("concolicd_solver_cache_hit_ratio", "Cache hits over lookups across finished jobs.", fmt.Sprintf("%.4f", m.engine.CacheHitRate()))
 
 	counter("concolicd_ratelimited_total", "Submissions refused over a tenant budget (429).", m.rateLimited)
 	counter("concolicd_steal_leased_total", "Queued jobs leased out to stealing replicas.", m.leased)
 	counter("concolicd_steal_stolen_total", "Peer jobs this replica executed.", m.stolen)
 	counter("concolicd_steal_lease_expired_total", "Stolen jobs requeued after their lease lapsed.", m.leasesExpired)
 	counter("concolicd_steal_remote_results_total", "Stolen-job results accepted back from stealers.", m.remoteResults)
-
-	counter("concolicd_cover_edges_total", "Covered control-flow edges summed over finished jobs' engines.", m.coveredEdges)
-	counter("concolicd_cover_blocks_total", "Covered basic blocks summed over finished jobs' engines.", m.coveredBlocks)
-	counter("concolicd_fuzz_execs_total", "Concrete mutation-fuzzing executions across finished jobs.", m.fuzzExecs)
-	counter("concolicd_fuzz_seeds_promoted_total", "Fuzz mutants promoted into an exploration frontier.", m.fuzzSeedsPromoted)
 
 	// The process-wide coverage tracker is shared by every job (like the
 	// sym arena), so its population is read live rather than summed.

@@ -160,13 +160,7 @@ func (p *pool) runJob(j *Job) {
 	}
 	p.capsFor(j.Req, &prof)
 	prof.Caps.Progress = func(pr core.Progress) {
-		p.store.AppendProgress(j, ProgressEvent{
-			Round:         pr.Round,
-			SolverQueries: pr.SolverQueries,
-			CoveredEdges:  pr.CoveredEdges,
-			CoveredBlocks: pr.CoveredBlocks,
-			Frontier:      pr.Frontier,
-		})
+		p.store.AppendProgress(j, ProgressEvent{Progress: pr})
 	}
 	en := core.New(b.Image(), b.BombAddr(), prof.Caps)
 	out := en.ExploreContext(ctx, b.Benign)
@@ -176,7 +170,7 @@ func (p *pool) runJob(j *Job) {
 		state = StateCancelled
 	}
 	p.store.Finish(j, state, resultFrom(out), "")
-	p.metrics.JobFinished(state, out, true)
+	p.metrics.JobFinished(state, &out.Stats, true)
 }
 
 // runRemote executes a job stolen from a peer. No local store is

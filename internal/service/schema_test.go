@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // postRaw submits a raw JSON body, the way a client of any schema
@@ -88,5 +91,38 @@ func TestTargetSchemaVersions(t *testing.T) {
 	st, _, both := postRaw(t, ts.URL, `{"bomb":"jump","target":{"kind":"bomb","name":"jump"},"workers":1}`)
 	if st != http.StatusAccepted || both.Bomb != "jump" {
 		t.Errorf("redundant-but-agreeing submit: status %d view %+v", st, both)
+	}
+}
+
+// TestResultDecodesParentWireShape pins journal replay across the stats
+// schema: a Result written by an older server — per-job stats with only
+// the keys it knew, zero-valued optional keys absent, wall time in
+// milliseconds — decodes to the same values, and re-encodes losslessly.
+func TestResultDecodesParentWireShape(t *testing.T) {
+	const old = `{"verdict":"solved","label":"","rounds":3,"input":{"argv1":"7"},` +
+		`"stats":{"workers":2,"solver_queries":9,"cache_hits":4,"cache_misses":5,` +
+		`"peak_frontier":6,"wall_ms":1234,"portfolio_races":7,"portfolio_clauses_shared":8,` +
+		`"warmstart_query_hits":1,"warmstart_clauses_seeded":10,"covered_edges":40,` +
+		`"covered_blocks":20,"fuzz_execs":48,"fuzz_seeds_promoted":3,"sharedcache_hits":11,` +
+		`"sharedcache_misses":12,"sharedcache_stores":13,"sharedcache_served":14}}`
+	want := Result{Verdict: "solved", Rounds: 3, Input: &SolvedInput{Argv1: "7"}}
+	want.Stats = core.Stats{Workers: 2, SolverQueries: 9, CacheHits: 4, CacheMisses: 5,
+		PeakFrontier: 6, WallTime: 1234 * time.Millisecond, PortfolioRaces: 7,
+		PortfolioClausesShared: 8, WarmQueryHits: 1, WarmClausesSeeded: 10,
+		CoveredEdges: 40, CoveredBlocks: 20, FuzzExecs: 48, FuzzSeedsPromoted: 3,
+		SharedCacheHits: 11, SharedCacheMisses: 12, SharedCacheStores: 13, SharedCacheServed: 14}
+	for _, doc := range []string{old, `{"verdict":"unreachable","label":"","rounds":0,"stats":{"workers":1,"solver_queries":0,"cache_hits":0,"cache_misses":0,"peak_frontier":1,"wall_ms":0}}`} {
+		var got Result
+		if err := json.Unmarshal([]byte(doc), &got); err != nil {
+			t.Fatalf("decode %s: %v", doc, err)
+		}
+		if doc == old && !reflect.DeepEqual(got, want) {
+			t.Errorf("decoded\n %+v\nwant\n %+v", got, want)
+		}
+		raw, _ := json.Marshal(got)
+		var back Result
+		if err := json.Unmarshal(raw, &back); err != nil || !reflect.DeepEqual(back, got) {
+			t.Errorf("re-encode of %s lost values: %s (%v)", doc, raw, err)
+		}
 	}
 }

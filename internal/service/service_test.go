@@ -326,6 +326,70 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics output lacks %q", want)
 		}
 	}
+
+	// Every series /metrics has ever exported, with its type. Dashboards
+	// key on these names, so none may be renamed or dropped.
+	for _, series := range []struct{ name, typ string }{
+		{"concolicd_jobs_submitted_total", "counter"},
+		{"concolicd_jobs_rejected_total", "counter"},
+		{"concolicd_jobs_finished_total", "counter"},
+		{"concolicd_jobs_running", "gauge"},
+		{"concolicd_queue_depth", "gauge"},
+		{"concolicd_queue_capacity", "gauge"},
+		{"concolicd_workers", "gauge"},
+		{"concolicd_engine_rounds_total", "counter"},
+		{"concolicd_solver_queries_total", "counter"},
+		{"concolicd_solver_cache_hits_total", "counter"},
+		{"concolicd_solver_cache_misses_total", "counter"},
+		{"concolicd_solver_cache_hit_ratio", "gauge"},
+		{"concolicd_checkpoints_taken_total", "counter"},
+		{"concolicd_checkpoint_resumes_total", "counter"},
+		{"concolicd_checkpoint_instructions_skipped_total", "counter"},
+		{"concolicd_checkpoint_cow_faults_total", "counter"},
+		{"concolicd_checkpoint_prefix_constraints_total", "counter"},
+		{"concolicd_solver_incremental_sessions_total", "counter"},
+		{"concolicd_solver_incremental_checks_total", "counter"},
+		{"concolicd_solver_incremental_learned_retained_total", "counter"},
+		{"concolicd_solver_incremental_guard_literals_total", "counter"},
+		{"concolicd_solver_portfolio_races_total", "counter"},
+		{"concolicd_solver_portfolio_clauses_shared_total", "counter"},
+		{"concolicd_solver_portfolio_clauses_imported_total", "counter"},
+		{"concolicd_warmstart_query_hits_total", "counter"},
+		{"concolicd_warmstart_clauses_seeded_total", "counter"},
+		{"concolicd_sharedcache_hits_total", "counter"},
+		{"concolicd_sharedcache_misses_total", "counter"},
+		{"concolicd_sharedcache_stores_total", "counter"},
+		{"concolicd_sharedcache_served_total", "counter"},
+		{"concolicd_ratelimited_total", "counter"},
+		{"concolicd_steal_leased_total", "counter"},
+		{"concolicd_steal_stolen_total", "counter"},
+		{"concolicd_steal_lease_expired_total", "counter"},
+		{"concolicd_steal_remote_results_total", "counter"},
+		{"concolicd_cover_edges_total", "counter"},
+		{"concolicd_cover_blocks_total", "counter"},
+		{"concolicd_fuzz_execs_total", "counter"},
+		{"concolicd_fuzz_seeds_promoted_total", "counter"},
+		{"concolicd_cover_global_edges", "gauge"},
+		{"concolicd_cover_global_blocks", "gauge"},
+		{"concolicd_sym_arena_nodes", "gauge"},
+		{"concolicd_sym_intern_hits_total", "counter"},
+		{"concolicd_sym_intern_misses_total", "counter"},
+		{"concolicd_sym_intern_fallbacks_total", "counter"},
+		{"concolicd_sym_intern_hit_ratio", "gauge"},
+		{"concolicd_job_wall_seconds", "histogram"},
+	} {
+		if want := "# TYPE " + series.name + " " + series.typ + "\n"; !strings.Contains(text, want) {
+			t.Errorf("metrics output lacks %q", strings.TrimSpace(want))
+		}
+	}
+	for _, want := range []string{
+		"concolicd_job_wall_seconds_bucket{le=\"+Inf\"} 1",
+		"concolicd_job_wall_seconds_sum ",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics output lacks %q", want)
+		}
+	}
 }
 
 func TestHealthAndDrain(t *testing.T) {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // TestProgressSinceWakesBeforeTerminal pins the streaming primitive's
@@ -23,7 +25,7 @@ func TestProgressSinceWakesBeforeTerminal(t *testing.T) {
 		t.Fatalf("initial subscribe: evs=%v state=%s ch=%v err=%v", evs, state, ch, err)
 	}
 
-	st.AppendProgress(j, ProgressEvent{Round: 1, SolverQueries: 3})
+	st.AppendProgress(j, ProgressEvent{Progress: core.Progress{Round: 1, SolverQueries: 3}})
 	select {
 	case <-ch:
 	case <-time.After(time.Second):
@@ -201,4 +203,3 @@ func TestProgressPollEndpoint(t *testing.T) {
 		t.Fatalf("missing job poll: %d", resp.StatusCode)
 	}
 }
-
