@@ -6,11 +6,10 @@ GO ?= go
 # packages under the race detector, short fuzz smokes on the solver
 # cache key, the interning equivalence property, the COW memory
 # (clone/write vs a deep-copy reference model), the SAT core under
-# assumptions and imports (vs brute-force enumeration), the incremental/
-# fresh solver equivalence, the portfolio/fresh equivalence, the
-# append-only journal (crashed log plus single- and two-handle appends
-# against a line-split reference model), the job-journal replay
-# (against an in-memory reference model) and the
+# assumptions (vs brute-force enumeration), the incremental/fresh solver
+# equivalence, the append-only journal (crashed log plus single- and
+# two-handle appends against a line-split reference model), the
+# job-journal replay (against an in-memory reference model) and the
 # symbolic-store weak-update image (against a concrete-memory reference
 # model), then the full suite.
 ci: vet build race fuzz test
@@ -26,7 +25,7 @@ build:
 	$(GO) build ./cmd/congolic ./examples/demo
 
 race:
-	$(GO) test -race -count=1 ./internal/sym/... ./internal/sat/... ./internal/bitblast/... ./internal/core/... ./internal/cover/... ./internal/mutate/... ./internal/solver/... ./internal/exchange/... ./internal/warmstore/... ./internal/service/... ./internal/mem/... ./internal/gos/... ./internal/lift/... ./internal/journal/... ./internal/jobstore/... ./internal/sharedcache/... ./internal/bombs/... ./internal/symexec/...
+	$(GO) test -race -count=1 ./internal/sym/... ./internal/sat/... ./internal/bitblast/... ./internal/core/... ./internal/cover/... ./internal/mutate/... ./internal/solver/... ./internal/service/... ./internal/mem/... ./internal/gos/... ./internal/lift/... ./internal/journal/... ./internal/jobstore/... ./internal/sharedcache/... ./internal/bombs/... ./internal/symexec/...
 	$(GO) test -race -count=1 -short ./internal/gofront/ ./internal/cliopts/ ./internal/target/ ./internal/suggest/
 	$(GO) test -race -count=1 -run 'TestGridExtended' ./internal/eval/
 
@@ -36,7 +35,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMemoryCOW -fuzztime=5s ./internal/mem/
 	$(GO) test -run '^$$' -fuzz FuzzSolveAssumingBruteForce -fuzztime=5s ./internal/sat/
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalEquivalence -fuzztime=5s ./internal/solver/
-	$(GO) test -run '^$$' -fuzz FuzzPortfolioEquivalence -fuzztime=5s ./internal/solver/
 	$(GO) test -run '^$$' -fuzz FuzzMutateDeterminism -fuzztime=5s ./internal/mutate/
 	$(GO) test -run '^$$' -fuzz FuzzJournal -fuzztime=5s ./internal/journal/
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime=5s ./internal/jobstore/
@@ -55,8 +53,8 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMemClone|BenchmarkMemCloneWriteFault' ./internal/mem/...
 	$(GO) test -run '^$$' -bench 'BenchmarkInputKey' ./internal/core/...
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheSolveHit|BenchmarkSolveUncached|BenchmarkCanonicalKey' ./internal/solver/...
-	$(GO) test -run '^$$' -bench 'BenchmarkRoundFresh|BenchmarkRoundIncremental|BenchmarkRoundPortfolio' -benchtime 3x ./internal/solver/
-	$(GO) test -run '^$$' -bench 'BenchmarkStressIncremental|BenchmarkStressPortfolio' -benchtime 1x ./internal/solver/
+	$(GO) test -run '^$$' -bench 'BenchmarkRoundFresh|BenchmarkRoundIncremental' -benchtime 3x ./internal/solver/
+	$(GO) test -run '^$$' -bench 'BenchmarkStressIncremental' -benchtime 1x ./internal/solver/
 	BENCH6_OUT=$(CURDIR)/BENCH_6.json $(GO) test -run TestBench6Emit -count=1 ./internal/solver/
 	BENCH7_OUT=$(CURDIR)/BENCH_7.json $(GO) test -run TestBench7Emit -count=1 ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkCanonicalKeyInterned|BenchmarkCanonicalKeyStable|BenchmarkInternConstruct' ./internal/sym/

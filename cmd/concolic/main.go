@@ -5,7 +5,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -59,13 +58,8 @@ func main() {
 	res, err := opts.Resolve(cliopts.FlagDialect)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "concolic: %v\n", err)
-		var se *cliopts.StoreError
-		if errors.As(err, &se) {
-			os.Exit(1)
-		}
 		os.Exit(2)
 	}
-	defer res.Close()
 	res.Apply(&p.Caps)
 	en := core.New(b.Image(), b.BombAddr(), p.Caps)
 	out := en.ExploreContext(ctx, b.Benign)

@@ -40,7 +40,6 @@ import (
 	"repro/internal/service"
 	"repro/internal/sharedcache"
 	"repro/internal/solver"
-	"repro/internal/warmstore"
 )
 
 func main() {
@@ -50,8 +49,6 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent jobs (0 = all CPUs)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"how long a drain waits for accepted jobs before cancelling them")
-	warmDir := flag.String("warmstart", "",
-		`warm-start store directory; jobs opt in with {"warmstart": true} (portfolio solver)`)
 	storeDir := flag.String("store", "",
 		"job store directory; queued jobs and finished results survive restarts")
 	sharedDir := flag.String("sharedcache", "",
@@ -73,14 +70,6 @@ func main() {
 		"comma-separated bomb categories this replica serves, e.g. accuracy,scalability,extended (empty = all)")
 	flag.Parse()
 
-	var warm *warmstore.Store
-	if *warmDir != "" {
-		w, err := warmstore.Open(*warmDir)
-		if err != nil {
-			log.Fatalf("concolicd: open warm-start store: %v", err)
-		}
-		warm = w
-	}
 	var jobs *jobstore.Log
 	if *storeDir != "" {
 		jl, err := jobstore.Open(*storeDir)
@@ -118,7 +107,6 @@ func main() {
 	srv := service.New(service.Config{
 		QueueDepth:      *queue,
 		Workers:         *workers,
-		Warm:            warm,
 		Jobs:            jobs,
 		SharedCache:     shared,
 		Replica:         *replica,
@@ -157,11 +145,6 @@ func main() {
 	srv.Drain(dctx)
 	if err := httpSrv.Shutdown(dctx); err != nil {
 		httpSrv.Close()
-	}
-	if warm != nil {
-		if err := warm.Close(); err != nil {
-			log.Printf("concolicd: close warm-start store: %v", err)
-		}
 	}
 	if jobs != nil {
 		if err := jobs.Close(); err != nil {

@@ -9,7 +9,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -56,13 +55,8 @@ func main() {
 	res, err := opts.Resolve(cliopts.FlagDialect)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "congolic: %v\n", err)
-		var se *cliopts.StoreError
-		if errors.As(err, &se) {
-			os.Exit(1)
-		}
 		os.Exit(2)
 	}
-	defer res.Close()
 	res.Apply(&p.Caps)
 
 	ctx := context.Background()

@@ -5,7 +5,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -35,13 +34,8 @@ func main() {
 	res, err := opts.Resolve(cliopts.FlagDialect)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "evaltable: %v\n", err)
-		var se *cliopts.StoreError
-		if errors.As(err, &se) {
-			os.Exit(1)
-		}
 		os.Exit(2)
 	}
-	defer res.Close()
 	runTableII := func() *eval.Grid {
 		if *fleet != "" {
 			var endpoints []string
@@ -65,8 +59,7 @@ func main() {
 			return g
 		}
 		eopts := eval.Options{
-			Workers: res.Workers, Checkpoint: res.Checkpoint,
-			SolverMode: res.SolverMode, Warm: res.Warm,
+			Workers: res.Workers, Checkpoint: res.Checkpoint, SolverMode: res.SolverMode,
 			Strategy: res.Strategy, Fuzz: res.Fuzz, CoverGoal: res.CoverGoal,
 		}
 		if *extended {

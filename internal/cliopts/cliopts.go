@@ -1,9 +1,9 @@
 // Package cliopts centralizes the engine-tuning option cluster that
 // every frontend exposes — cmd/concolic, cmd/evaltable, cmd/congolic,
 // and concolicd's job API. One Register call defines the flags with one
-// set of help texts, one Check enforces the cross-field rules (warmstart
-// needs portfolio, fuzz needs the coverage strategy, cover-goal range),
-// and one Resolve turns the raw values into engine-ready capabilities.
+// set of help texts, one Check enforces the cross-field rules (fuzz
+// needs the coverage strategy, cover-goal range), and one Resolve turns
+// the raw values into engine-ready capabilities.
 // Before this package each frontend re-implemented the cluster by hand
 // and the error dialects had started to drift.
 package cliopts
@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/suggest"
-	"repro/internal/warmstore"
 )
 
 // Options is the raw option cluster as read from flags or a job request.
@@ -24,8 +23,6 @@ type Options struct {
 	Workers    int
 	Checkpoint string // "auto" | "off" ("" = auto)
 	Solver     string // core.SolverModeNames ("" = fresh)
-	WarmDir    string // warm-start store directory ("" = off); CLI form
-	Warmstart  bool   // use an already-open store; job-API form
 	Strategy   string // core.SearchStrategyNames ("" = profile default)
 	Fuzz       bool
 	CoverGoal  float64
@@ -43,11 +40,8 @@ func Register(fs *flag.FlagSet) *Options {
 			"(re-execute every round from _start; identical outcomes)")
 	fs.StringVar(&o.Solver, "solver", "fresh",
 		"negation-query solving: "+strings.Join(core.SolverModeNames(), ", ")+
-			" (portfolio races diversified workers sharing learned clauses; "+
+			" (incremental reuses one SAT instance per round; "+
 			"equivalent verdicts, possibly different inputs)")
-	fs.StringVar(&o.WarmDir, "warmstart", "",
-		"warm-start store directory (portfolio only): answered queries and "+
-			"exchanged clauses persist across runs")
 	fs.StringVar(&o.Strategy, "strategy", "",
 		"frontier search order: "+strings.Join(core.SearchStrategyNames(), ", ")+
 			" (coverage scores candidates by uncovered flip targets; "+
@@ -61,9 +55,9 @@ func Register(fs *flag.FlagSet) *Options {
 	return o
 }
 
-// Dialect renders a canonical option name ("warmstart", "cover-goal",
-// "solver=portfolio") into a consumer's spelling. Errors built through a
-// dialect read naturally both on a terminal and in an HTTP 400 body.
+// Dialect renders a canonical option name ("cover-goal",
+// "strategy=coverage") into a consumer's spelling. Errors built through
+// a dialect read naturally both on a terminal and in an HTTP 400 body.
 type Dialect func(canonical string) string
 
 // FlagDialect prefixes "-" — the CLI spelling.
@@ -84,12 +78,8 @@ func Check(o Options, d Dialect) error {
 	default:
 		return suggest.Unknown("checkpoint policy", o.Checkpoint, []string{"auto", "off"})
 	}
-	mode, err := core.ParseSolverMode(o.Solver)
-	if err != nil {
+	if _, err := core.ParseSolverMode(o.Solver); err != nil {
 		return err
-	}
-	if (o.WarmDir != "" || o.Warmstart) && mode != core.SolverPortfolio {
-		return fmt.Errorf("%s requires %s", d("warmstart"), d("solver=portfolio"))
 	}
 	strat, err := core.ParseSearchStrategy(o.Strategy)
 	if err != nil {
@@ -113,18 +103,9 @@ type Resolved struct {
 	StrategySet bool // explicit -strategy; false keeps the profile default
 	Fuzz        bool
 	CoverGoal   float64
-	Warm        *warmstore.Store // open when WarmDir was set; Close it
 }
 
-// StoreError wraps a warm-start store open failure so CLIs can map it to
-// an I/O exit status instead of a usage one.
-type StoreError struct{ Err error }
-
-func (e *StoreError) Error() string { return "open warm-start store: " + e.Err.Error() }
-func (e *StoreError) Unwrap() error { return e.Err }
-
-// Resolve checks the cluster and converts it, opening the warm-start
-// store when a directory was given. The caller owns Close on success.
+// Resolve checks the cluster and converts it.
 func (o Options) Resolve(d Dialect) (*Resolved, error) {
 	if err := Check(o, d); err != nil {
 		return nil, err
@@ -140,19 +121,12 @@ func (o Options) Resolve(d Dialect) (*Resolved, error) {
 		r.Strategy, _ = core.ParseSearchStrategy(o.Strategy)
 		r.StrategySet = true
 	}
-	if o.WarmDir != "" {
-		w, err := warmstore.Open(o.WarmDir)
-		if err != nil {
-			return nil, &StoreError{Err: err}
-		}
-		r.Warm = w
-	}
 	return r, nil
 }
 
 // Apply overlays the resolved cluster onto a tool profile's
-// capabilities. Unset fields (no explicit strategy, zero cover goal, no
-// store) leave the profile's defaults intact.
+// capabilities. Unset fields (no explicit strategy, zero cover goal)
+// leave the profile's defaults intact.
 func (r *Resolved) Apply(caps *core.Capabilities) {
 	caps.Workers = r.Workers
 	caps.Checkpoint = r.Checkpoint
@@ -165,15 +139,5 @@ func (r *Resolved) Apply(caps *core.Capabilities) {
 	}
 	if r.CoverGoal != 0 {
 		caps.CoverGoal = r.CoverGoal
-	}
-	if r.Warm != nil {
-		caps.Warm = r.Warm
-	}
-}
-
-// Close releases the warm-start store, if one was opened. Safe on nil.
-func (r *Resolved) Close() {
-	if r != nil && r.Warm != nil {
-		r.Warm.Close()
 	}
 }

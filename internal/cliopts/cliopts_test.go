@@ -24,9 +24,8 @@ func TestResolveDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	defer res.Close()
 	if res.Checkpoint != core.CheckpointAuto || res.SolverMode != core.SolverFresh ||
-		res.StrategySet || res.Fuzz || res.CoverGoal != 0 || res.Warm != nil {
+		res.StrategySet || res.Fuzz || res.CoverGoal != 0 {
 		t.Errorf("unexpected defaults: %+v", res)
 	}
 }
@@ -43,7 +42,6 @@ func TestApplyKeepsProfileDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	defer res.Close()
 	res.Apply(&p.Caps)
 	if p.Caps.Workers != 2 || p.Caps.SolverMode != core.SolverIncremental {
 		t.Errorf("explicit fields not applied: %+v", p.Caps)
@@ -56,7 +54,6 @@ func TestApplyKeepsProfileDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	defer res2.Close()
 	res2.Apply(&p.Caps)
 	if p.Caps.Search != core.SearchDFS {
 		t.Errorf("explicit strategy not applied: %v", p.Caps.Search)
@@ -73,9 +70,6 @@ func TestCheckCrossFieldRules(t *testing.T) {
 		{"negative workers", Options{Workers: -1}, "-workers must be non-negative"},
 		{"bad checkpoint", Options{Checkpoint: "of"}, `unknown checkpoint policy "of"`},
 		{"bad solver", Options{Solver: "fersh"}, `unknown solver mode "fersh"`},
-		{"warm without portfolio", Options{WarmDir: "/tmp/w"}, "-warmstart requires -solver=portfolio"},
-		{"warm flag form", Options{Warmstart: true}, "-warmstart requires -solver=portfolio"},
-		{"warm ok", Options{WarmDir: "/tmp/w", Solver: "portfolio"}, ""},
 		{"bad strategy", Options{Strategy: "coverge"}, `unknown search strategy "coverge"`},
 		{"fuzz without coverage", Options{Fuzz: true}, "-fuzz requires -strategy=coverage"},
 		{"fuzz ok", Options{Fuzz: true, Strategy: "coverage"}, ""},
@@ -99,11 +93,7 @@ func TestCheckCrossFieldRules(t *testing.T) {
 
 // TestWireDialect pins the job-API rendering of the same rules.
 func TestWireDialect(t *testing.T) {
-	err := Check(Options{Warmstart: true}, WireDialect)
-	if err == nil || err.Error() != "warmstart requires solver=portfolio" {
-		t.Errorf("warmstart error = %v", err)
-	}
-	err = Check(Options{Fuzz: true}, WireDialect)
+	err := Check(Options{Fuzz: true}, WireDialect)
 	if err == nil || err.Error() != "fuzz requires strategy=coverage" {
 		t.Errorf("fuzz error = %v", err)
 	}
@@ -111,16 +101,4 @@ func TestWireDialect(t *testing.T) {
 	if err == nil || !strings.HasPrefix(err.Error(), "cover_goal must be in (0, 1]") {
 		t.Errorf("cover_goal error = %v", err)
 	}
-}
-
-func TestResolveOpensWarmStore(t *testing.T) {
-	dir := t.TempDir()
-	res, err := parse(t, "-solver", "portfolio", "-warmstart", dir).Resolve(FlagDialect)
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
-	if res.Warm == nil {
-		t.Fatal("warm store not opened")
-	}
-	res.Close()
 }

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/bin"
 	"repro/internal/cover"
-	"repro/internal/exchange"
 	"repro/internal/solver"
 	"repro/internal/suggest"
 	"repro/internal/sym"
@@ -30,7 +29,6 @@ import (
 	"repro/internal/target"
 	"repro/internal/trace"
 	"repro/internal/vm"
-	"repro/internal/warmstore"
 )
 
 // Capabilities configures the engine as a particular tool.
@@ -124,24 +122,7 @@ type Capabilities struct {
 	// generated inputs) may differ from fresh mode and across worker
 	// counts, because the incremental search reuses state whose content
 	// depends on which duplicate queries a batch happened to perform.
-	// SolverPortfolio races each query across the incremental session and
-	// diversified fresh CDCL workers sharing learned clauses — verdicts
-	// per query are equivalent or stronger (a budget-bound Unknown can
-	// turn conclusive when a diversified rival cracks the instance), but
-	// which worker answers is scheduling-dependent, so models and
-	// generated inputs may vary run to run.
 	SolverMode SolverMode
-
-	// PortfolioWorkers is the fresh CDCL worker count per portfolio race
-	// (<= 0: solver.DefaultPortfolioWorkers). Ignored outside
-	// SolverPortfolio.
-	PortfolioWorkers int
-
-	// Warm, when non-nil under SolverPortfolio, persists query verdicts
-	// and exchanged clauses across processes (the -warmstart store). The
-	// caller owns the store's lifecycle; the engine only reads and
-	// appends.
-	Warm *warmstore.Store
 
 	// SharedCache, when non-nil, backs the engine's solver query cache
 	// with a persistent tier shared across replicas (see
@@ -185,10 +166,6 @@ const (
 	// SolverIncremental solves each round's queries on one persistent
 	// assumption-based session (see solver.Session).
 	SolverIncremental
-	// SolverPortfolio races each query across the incremental session and
-	// diversified fresh workers with shared learned clauses (see
-	// solver.Portfolio).
-	SolverPortfolio
 )
 
 func (m SolverMode) String() string {
@@ -197,15 +174,13 @@ func (m SolverMode) String() string {
 		return "fresh"
 	case SolverIncremental:
 		return "incremental"
-	case SolverPortfolio:
-		return "portfolio"
 	}
 	return "invalid"
 }
 
 // SolverModeNames lists the accepted -solver flag values in menu order.
 func SolverModeNames() []string {
-	return []string{"fresh", "incremental", "portfolio"}
+	return []string{"fresh", "incremental"}
 }
 
 // ParseSolverMode maps a -solver flag value to its mode. Unknown names
@@ -216,8 +191,6 @@ func ParseSolverMode(name string) (SolverMode, error) {
 		return SolverFresh, nil
 	case "incremental":
 		return SolverIncremental, nil
-	case "portfolio":
-		return SolverPortfolio, nil
 	}
 	return 0, suggest.Unknown("solver mode", name, SolverModeNames())
 }
@@ -408,7 +381,6 @@ type Engine struct {
 	ctx       context.Context // set once per Explore; read-only afterwards
 	ctxBound  bool            // deadline comes from ctx, not TotalBudget
 	cache     *solver.Cache
-	ex        *exchange.Exchange // clause exchange, non-nil under SolverPortfolio
 	stats     Stats
 	arena0    sym.ArenaStats // arena counters at Explore entry, for deltas
 
@@ -454,13 +426,6 @@ func New(img *bin.Image, target uint64, caps Capabilities) *Engine {
 		caps.FuzzExecs = DefaultFuzzExecs
 	}
 	workers := caps.ResolvedWorkers()
-	var ex *exchange.Exchange
-	if caps.SolverMode == SolverPortfolio {
-		// One exchange per engine: every round's races pool clauses under
-		// per-system keys, so repeated or overlapping queries across
-		// rounds start from each other's learned clauses.
-		ex = exchange.New()
-	}
 	// The decoded program gives the coverage layer its static structure:
 	// block leaders for the block metric and flip-target successors for
 	// candidate scoring. Images that fail to decode fall back to
@@ -485,7 +450,6 @@ func New(img *bin.Image, target uint64, caps Capabilities) *Engine {
 		out:        &Outcome{},
 		ctx:        context.Background(),
 		cache:      newEngineCache(caps),
-		ex:         ex,
 		cov:        cover.NewTracker(),
 		prog:       prog,
 		leaders:    leaders,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -74,5 +75,33 @@ func TestIncrementalRepeatable(t *testing.T) {
 	}
 	if a.Rounds != b.Rounds {
 		t.Errorf("round counts differ: %d vs %d", a.Rounds, b.Rounds)
+	}
+}
+
+// TestParseSolverMode covers the flag-value mapping and its error text.
+func TestParseSolverMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want SolverMode
+	}{
+		{"", SolverFresh}, {"fresh", SolverFresh},
+		{"incremental", SolverIncremental},
+	} {
+		got, err := ParseSolverMode(tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseSolverMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+		if tc.in != "" && got.String() != tc.in {
+			t.Errorf("SolverMode(%v).String() = %q, want %q", got, got.String(), tc.in)
+		}
+	}
+	if _, err := ParseSolverMode("z3"); err == nil {
+		t.Fatal("ParseSolverMode accepted an unknown mode")
+	} else {
+		for _, name := range SolverModeNames() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("error %q does not list mode %q", err, name)
+			}
+		}
 	}
 }

@@ -71,8 +71,8 @@ type event struct {
 type roundRec struct {
 	idx    int // 1-based round number, assigned at dispatch
 	events []event
-	// stats is the round's counter delta (solver queries, checkpoint,
-	// session and portfolio work), folded into the engine's at merge.
+	// stats is the round's counter delta (solver queries, checkpoint and
+	// session work), folded into the engine's at merge.
 	stats Stats
 
 	// Coverage payload: the run's per-trace coverage set plus the input
@@ -90,16 +90,6 @@ func (r *roundRec) addSession(st solver.SessionStats) {
 	r.stats.IncrementalChecks += st.IncrementalChecks
 	r.stats.LearnedClausesRetained += st.LearnedRetained
 	r.stats.GuardLiterals += st.GuardLiterals
-}
-
-// roundSolver is the per-round incremental query context negate drives
-// when a persistent mode is selected: solver.Session under
-// SolverIncremental, solver.Portfolio under SolverPortfolio. Both keep
-// the same prefix discipline — Assert joins the path condition,
-// CheckSeeded decides prefix ∧ negated.
-type roundSolver interface {
-	Assert(constraints ...sym.Expr)
-	CheckSeeded(negated sym.Expr, randSeed int64) (solver.Result, error)
 }
 
 // popBatch removes up to n candidates from the frontier in strategy
@@ -425,11 +415,7 @@ func (en *Engine) runConcrete(in target.Input, plan *replayPlan) (m *gos.Machine
 // every query on it: constraint i's negation is checked against the
 // session's prefix c_0..c_{i-1}, then c_i joins the prefix — including
 // assume-kind and already-seen constraints, which are never queried but
-// are part of every later query's path condition. Under SolverPortfolio
-// the round opens one solver.Portfolio instead: the same prefix
-// discipline, but every query races the session against diversified
-// fresh workers sharing learned clauses through the engine's exchange
-// and, when configured, warm-starting from the persistent store.
+// are part of every later query's path condition.
 func (en *Engine) negate(rec *roundRec, cur target.Input, sr *symexec.Result, tr *trace.Trace, childPlan *replayPlan) {
 	// Forward occurrence numbering keeps flip keys stable across rounds
 	// (the n-th execution of a loop branch keeps its identity as traces
@@ -440,7 +426,7 @@ func (en *Engine) negate(rec *roundRec, cur target.Input, sr *symexec.Result, tr
 		occ[i] = occurrence[sr.Constraints[i].PC]
 		occurrence[sr.Constraints[i].PC]++
 	}
-	var sess roundSolver
+	var sess *solver.Session
 	queryOpts := solver.Options{
 		MaxConflicts: en.caps.SolverConflicts,
 		FP:           en.caps.FP,
@@ -448,9 +434,8 @@ func (en *Engine) negate(rec *roundRec, cur target.Input, sr *symexec.Result, tr
 		Timeout:      en.caps.SolverTimeout,
 		Seed:         sr.Seed,
 	}
-	switch {
-	case en.caps.SolverMode == SolverIncremental && len(sr.Constraints) > 0:
-		s := solver.NewSession(en.ctx, solver.SessionOptions{
+	if en.caps.SolverMode == SolverIncremental && len(sr.Constraints) > 0 {
+		sess = solver.NewSession(en.ctx, solver.SessionOptions{
 			Options: queryOpts,
 			// The shared query cache is deterministic for incremental
 			// entries only when a single goroutine populates it in a
@@ -458,28 +443,8 @@ func (en *Engine) negate(rec *roundRec, cur target.Input, sr *symexec.Result, tr
 			// so outcomes stay repeatable at a fixed worker count.
 			Cache: en.sessionCache(),
 		})
-		sess = s
 		rec.stats.SolverSessions++
-		defer func() { rec.addSession(s.Stats()) }()
-	case en.caps.SolverMode == SolverPortfolio && len(sr.Constraints) > 0:
-		p := solver.NewPortfolio(en.ctx, solver.PortfolioOptions{
-			Options:  queryOpts,
-			Workers:  en.caps.PortfolioWorkers,
-			Cache:    en.sessionCache(),
-			Exchange: en.ex,
-			Warm:     en.caps.Warm,
-		})
-		sess = p
-		rec.stats.SolverSessions++
-		defer func() {
-			rec.addSession(p.SessionStats())
-			st := p.Stats()
-			rec.stats.PortfolioRaces += st.Races
-			rec.stats.PortfolioClausesShared += st.ClausesShared
-			rec.stats.PortfolioClausesImported += st.ClausesImported
-			rec.stats.WarmQueryHits += st.WarmQueryHits
-			rec.stats.WarmClausesSeeded += st.WarmClausesSeeded
-		}()
+		defer func() { rec.addSession(sess.Stats()) }()
 	}
 	n := len(sr.Constraints)
 	order := make([]int, n)

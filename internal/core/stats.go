@@ -45,18 +45,10 @@ type Stats struct {
 	PrefixConstraintsReused int    `json:"prefix_constraints_reused" merge:"sum" prom:"concolicd_checkpoint_prefix_constraints_total" help:"Path constraints derived from replayed trace prefixes."`
 
 	// Incremental sessions (DESIGN.md §13); zero under SolverFresh.
-	SolverSessions         int   `json:"solver_sessions" merge:"sum" prom:"concolicd_solver_incremental_sessions_total" help:"Per-round incremental or portfolio solver sessions opened."`
+	SolverSessions         int   `json:"solver_sessions" merge:"sum" prom:"concolicd_solver_incremental_sessions_total" help:"Per-round incremental solver sessions opened."`
 	IncrementalChecks      int   `json:"incremental_checks" merge:"sum" prom:"concolicd_solver_incremental_checks_total" help:"Negation queries decided on a persistent session instance."`
 	LearnedClausesRetained int64 `json:"learned_retained" merge:"sum" prom:"concolicd_solver_incremental_learned_retained_total" help:"Learned clauses carried into follow-up incremental checks."`
 	GuardLiterals          int   `json:"guard_literals" merge:"sum" prom:"concolicd_solver_incremental_guard_literals_total" help:"Guard literals allocated to activate and retire negated constraints."`
-
-	// Portfolio solving and the warm-start store (DESIGN.md §14); zero
-	// outside SolverPortfolio.
-	PortfolioRaces           int   `json:"portfolio_races" merge:"sum" prom:"concolicd_solver_portfolio_races_total" help:"Negation queries decided by racing diversified portfolio workers."`
-	PortfolioClausesShared   int64 `json:"portfolio_clauses_shared" merge:"sum" prom:"concolicd_solver_portfolio_clauses_shared_total" help:"Learned clauses published into the portfolio clause exchange."`
-	PortfolioClausesImported int64 `json:"portfolio_clauses_imported" merge:"sum" prom:"concolicd_solver_portfolio_clauses_imported_total" help:"Exchange and warm-store clauses adopted by racing workers."`
-	WarmQueryHits            int   `json:"warmstart_query_hits" merge:"sum" prom:"concolicd_warmstart_query_hits_total" help:"Negation queries answered from the warm-start store."`
-	WarmClausesSeeded        int   `json:"warmstart_clauses_seeded" merge:"sum" prom:"concolicd_warmstart_clauses_seeded_total" help:"Stored clauses seeded into portfolio races."`
 
 	// Shared solver-cache tier (DESIGN.md §16); zero without
 	// Capabilities.SharedCache.

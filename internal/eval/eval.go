@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/symexec"
 	"repro/internal/tools"
-	"repro/internal/warmstore"
 )
 
 // Classify maps an engine outcome to a Table II cell label.
@@ -194,10 +193,6 @@ type Options struct {
 	// CoverGoal, when in (0, 1], stops each engine early once that
 	// fraction of static basic blocks has been covered.
 	CoverGoal float64
-	// Warm, when non-nil, is the persistent warm-start store every
-	// engine consults and feeds under core.SolverPortfolio (ignored in
-	// the other modes). The caller owns the store's lifecycle.
-	Warm *warmstore.Store
 }
 
 // applyOptions overlays the evaluation options onto each profile.
@@ -205,7 +200,6 @@ func applyOptions(profiles []tools.Profile, opts Options) {
 	for i := range profiles {
 		profiles[i].Caps.Checkpoint = opts.Checkpoint
 		profiles[i].Caps.SolverMode = opts.SolverMode
-		profiles[i].Caps.Warm = opts.Warm
 		if opts.EngineWorkers > 0 {
 			profiles[i].Caps.Workers = opts.EngineWorkers
 		}

@@ -64,9 +64,8 @@ type fleetResult struct {
 var fleetHTTP = &http.Client{Timeout: 10 * time.Second}
 
 // FleetOptions shapes a fleet grid run. Only the wire-expressible
-// subset of Options applies: checkpoint policy and warm-start stores
-// are replica-side configuration (-warmstart on concolicd), not
-// per-request knobs.
+// subset of Options applies: checkpoint policy is replica-side
+// configuration, not a per-request knob.
 type FleetOptions struct {
 	// EngineWorkers, SolverMode, Strategy, Fuzz, CoverGoal mirror the
 	// same Options fields and ride on each submitted job.

@@ -11,7 +11,7 @@
 //
 // Requests and results are opaque json.RawMessage payloads: the service
 // layer owns their schema, which keeps this package below it in the
-// dependency order (the same idiom warmstore uses toward the solver).
+// dependency order (the same idiom sharedcache uses toward the solver).
 package jobstore
 
 import (

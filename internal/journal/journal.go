@@ -1,7 +1,7 @@
 // Package journal owns one append-only JSONL file: the crash-tolerance
-// layer under the job store, the warm-start store and the shared
-// solver-query tier. Each policy below exists once, so the three stores
-// cannot drift apart in how they survive a crash.
+// layer under the job store and the shared solver-query tier. Each
+// policy below exists once, so the two stores cannot drift apart in how
+// they survive a crash.
 //
 //   - Open creates the directory, opens the file with O_APPEND and
 //     newline-terminates a torn tail (a crash mid-append) before anything

@@ -150,3 +150,74 @@ func TestLearnedClausesRetained(t *testing.T) {
 		t.Errorf("negative live learned clauses: %d", live)
 	}
 }
+
+// addPigeonhole encodes the pigeonhole principle PHP(holes+1, holes):
+// holes+1 pigeons into holes holes, unsatisfiable and resolution-hard
+// enough to force real clause learning. Returns the variable matrix
+// p[i][j] = "pigeon i sits in hole j".
+func addPigeonhole(s *Solver, holes int) [][]int {
+	pigeons := holes + 1
+	p := make([][]int, pigeons)
+	for i := range p {
+		p[i] = make([]int, holes)
+		for j := range p[i] {
+			p[i][j] = s.NewVar()
+		}
+	}
+	for i := 0; i < pigeons; i++ {
+		var c []Lit
+		for j := 0; j < holes; j++ {
+			c = append(c, MkLit(p[i][j], false))
+		}
+		s.AddClause(c...)
+	}
+	for j := 0; j < holes; j++ {
+		for i := 0; i < pigeons; i++ {
+			for k := i + 1; k < pigeons; k++ {
+				s.AddClause(MkLit(p[i][j], true), MkLit(p[k][j], true))
+			}
+		}
+	}
+	return p
+}
+
+// TestStatsMonotonicSolveAssuming drives one instance through a sequence
+// of SolveAssuming calls and checks every Stats counter is cumulative
+// and non-decreasing — counters are never reset between calls, so
+// callers charge a call by differencing around it.
+func TestStatsMonotonicSolveAssuming(t *testing.T) {
+	s := New()
+	p := addPigeonhole(s, 4)
+	prev := s.Stats()
+	if prev != (Stats{}) {
+		t.Fatalf("fresh instance has nonzero stats: %+v", prev)
+	}
+	assumptionSets := [][]Lit{
+		nil,
+		{MkLit(p[0][0], false)},
+		{MkLit(p[0][0], false), MkLit(p[1][1], false)},
+		nil,
+	}
+	for i, as := range assumptionSets {
+		if st := s.SolveAssuming(as, 200_000, time.Time{}, nil); st != Unsat {
+			t.Fatalf("call %d: %v, want unsat", i, st)
+		}
+		cur := s.Stats()
+		if cur.Conflicts < prev.Conflicts || cur.Propagations < prev.Propagations ||
+			cur.Restarts < prev.Restarts || cur.Learned < prev.Learned ||
+			cur.Deleted < prev.Deleted {
+			t.Fatalf("call %d: counter went backwards: %+v -> %+v", i, prev, cur)
+		}
+		prev = cur
+	}
+	if prev.Conflicts == 0 || prev.Learned == 0 {
+		t.Fatalf("pigeonhole refutation registered no work: %+v", prev)
+	}
+	// Per-call differencing must see the base-formula refutation charged
+	// once: after ok=false the later calls return Unsat without search.
+	again := s.Stats()
+	s.SolveAssuming(nil, 200_000, time.Time{}, nil)
+	if got := s.Stats(); got != again {
+		t.Errorf("refuted instance still accrues work: %+v -> %+v", again, got)
+	}
+}

@@ -7,12 +7,11 @@ import (
 )
 
 // FuzzSolveAssumingBruteForce decodes a CNF over at most 10 variables
-// and up to three rounds of assumptions and imports, solves each round on
-// one persistent instance and checks every verdict by enumeration: a Sat
+// and up to three rounds of assumptions, solves each round on one
+// persistent instance and checks every verdict by enumeration: a Sat
 // model satisfies every clause and assumption, an Unsat agrees with brute
 // force, and the final conflict is a subset of the assumptions that is
-// unsatisfiable together with the CNF. Imports are only clauses the CNF
-// implies, so they never change a verdict.
+// unsatisfiable together with the CNF.
 func FuzzSolveAssumingBruteForce(f *testing.F) {
 	f.Add([]byte{3, 4, 2, 0, 3, 2, 1, 4, 1, 2, 1, 5, 2, 2, 0, 1, 0})
 	f.Add([]byte{9, 12, 3, 0, 2, 5, 3, 1, 6, 9, 2, 7, 10, 3, 4, 12, 16, 1, 3, 3, 2, 8, 14, 2, 1, 2, 3, 2, 4, 1, 17, 2, 9, 11})
@@ -48,14 +47,6 @@ func FuzzSolveAssumingBruteForce(f *testing.F) {
 		}
 		for round := 1 + next()%3; round > 0; round-- {
 			assumptions := clause(5)
-			var imports [][]Lit
-			for n := next() % 4; n > 0; n-- {
-				if cl := clause(4); implied(nVars, cnf, cl) {
-					imports = append(imports, cl)
-				}
-			}
-			s.ImportLearned(imports)
-
 			st := s.SolveAssuming(assumptions, 0, time.Time{}, nil)
 			withAssumptions := append(slices.Clone(cnf), units(assumptions)...)
 			switch st {
@@ -83,15 +74,6 @@ func FuzzSolveAssumingBruteForce(f *testing.F) {
 			}
 		}
 	})
-}
-
-// implied reports whether every model of cnf satisfies cl.
-func implied(nVars int, cnf [][]Lit, cl []Lit) bool {
-	negated := make([]Lit, len(cl))
-	for i, l := range cl {
-		negated[i] = l.Not()
-	}
-	return !brute(nVars, append(slices.Clone(cnf), units(negated)...))
 }
 
 // units returns one unit clause per literal.

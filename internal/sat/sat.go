@@ -6,7 +6,6 @@ package sat
 
 import (
 	"math"
-	"math/rand"
 	"time"
 )
 
@@ -120,7 +119,7 @@ type Solver struct {
 	// literals of the clause being simplified: those equal to stampGen.
 	// seen marks variables during conflict analysis and is all false
 	// between analyses. learnt is analyze's output and addBuf the
-	// simplified clause of AddClause and adoptClause.
+	// simplified clause of AddClause.
 	stamp    []uint32
 	stampGen uint32
 	seen     []bool
@@ -133,18 +132,6 @@ type Solver struct {
 	restarts  int64
 	learnedN  int64 // learned clauses created
 	deletedN  int64 // learned clauses dropped by DB reduction
-
-	// Portfolio diversification and clause exchange (see share.go).
-	cfg       Config
-	rng       *rand.Rand
-	learnHook func(lits []Lit, lbd int)
-	hookBuf   []Lit // backs the copies handed to learnHook
-	importQ   []Lit // queued imports, back to back
-	importEnd []int // end offset of each queued import in importQ
-	importedN int64 // clauses adopted via ImportLearned
-	exportedN int64 // clauses reported to the learn hook
-	lbdSeen   []int64
-	lbdStamp  int64
 
 	// model is the assignment snapshot taken at the last Sat verdict.
 	// Search state is unwound to level 0 before Solve returns, so the
@@ -171,7 +158,7 @@ func (s *Solver) NewVar() int {
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
-	s.polarity = append(s.polarity, s.cfg.InvertPolarity)
+	s.polarity = append(s.polarity, false)
 	s.watches = append(s.watches, nil, nil)
 	s.stamp = append(s.stamp, 0, 0)
 	s.seen = append(s.seen, false)
@@ -477,15 +464,6 @@ func (s *Solver) decayActivities() {
 }
 
 func (s *Solver) pickBranchVar() int {
-	if s.rng != nil && s.rng.Float64() < s.cfg.RandomBranchFreq {
-		// Random branching: a few probes into the variable array; fall
-		// through to VSIDS when every probe lands on an assigned var.
-		for try := 0; try < 8 && s.NumVars() > 0; try++ {
-			if v := s.rng.Intn(s.NumVars()); s.vals[MkLit(v, false)] == lUndef {
-				return v
-			}
-		}
-	}
 	for s.order.size() > 0 {
 		v := s.order.pop()
 		if s.vals[MkLit(v, false)] == lUndef {
@@ -630,16 +608,9 @@ func (s *Solver) SolveAssuming(assumptions []Lit, maxConflicts int64, deadline t
 			s.backtrack(0)
 			return Unknown
 		}
-		// The trail is at level 0 here: the only sound point to adopt
-		// clauses imported from portfolio peers.
-		s.drainImports()
-		if !s.ok {
-			return Unsat
-		}
 		restart++
 		s.restarts++
-		budget := s.restartBudget(restart)
-		switch st := s.search(budget, limit, assumptions); st {
+		switch st := s.search(100*luby(restart), limit, assumptions); st {
 		case Sat:
 			s.saveModel()
 			s.backtrack(0)
@@ -673,7 +644,6 @@ func (s *Solver) search(budget, limit int64, assumptions []Lit) Status {
 				return Unsat
 			}
 			learnt, btLevel := s.analyze(conflict)
-			s.exportLearned(learnt)
 			s.backtrack(btLevel)
 			if len(learnt) == 1 {
 				s.enqueue(learnt[0], crefUndef)
@@ -778,8 +748,6 @@ type Stats struct {
 	Restarts     int64
 	Learned      int64 // learned clauses created
 	Deleted      int64 // learned clauses dropped by DB reduction
-	Imported     int64 // clauses adopted from portfolio peers
-	Exported     int64 // learned clauses reported to the learn hook
 }
 
 // LearnedLive returns the learned clauses currently retained.
@@ -793,8 +761,6 @@ func (s *Solver) Stats() Stats {
 		Restarts:     s.restarts,
 		Learned:      s.learnedN,
 		Deleted:      s.deletedN,
-		Imported:     s.importedN,
-		Exported:     s.exportedN,
 	}
 }
 

@@ -36,11 +36,8 @@ func (s State) Terminal() bool {
 // Request is the analysis a client submits: which bomb, which tool
 // profile, how many engine workers, which solver mode ("" or "fresh"
 // for a SAT instance per query, "incremental" for per-round
-// assumption-based sessions, "portfolio" for racing diversified
-// workers with shared learned clauses), whether to use the server's
-// warm-start store (portfolio only; requires concolicd -warmstart),
-// and an optional per-job wall-clock budget that becomes the
-// exploration context's deadline.
+// assumption-based sessions), and an optional per-job wall-clock
+// budget that becomes the exploration context's deadline.
 type Request struct {
 	// Bomb is the legacy target field: the name of a registered logic
 	// bomb. New clients should submit Target instead; Validate folds a
@@ -50,12 +47,11 @@ type Request struct {
 	// Target is the versioned target object. Today the only served kind
 	// is "bomb"; "gofunc" (a Go function lowered by the congolic
 	// frontend) is reserved and rejected with a self-explaining error.
-	Target    *TargetSpec `json:"target,omitempty"`
-	Tool      string      `json:"tool"`
-	Workers   int         `json:"workers,omitempty"`
-	Solver    string      `json:"solver,omitempty"`
-	Warmstart bool        `json:"warmstart,omitempty"`
-	BudgetMS  int64       `json:"budget_ms,omitempty"`
+	Target   *TargetSpec `json:"target,omitempty"`
+	Tool     string      `json:"tool"`
+	Workers  int         `json:"workers,omitempty"`
+	Solver   string      `json:"solver,omitempty"`
+	BudgetMS int64       `json:"budget_ms,omitempty"`
 	// Strategy selects the frontier search order ("" or "generational",
 	// "dfs", "coverage"); Fuzz enables the hybrid mutation stage
 	// (coverage strategy only); CoverGoal, in (0, 1], stops the engine
@@ -136,7 +132,6 @@ func (r *Request) Validate() error {
 	if err := cliopts.Check(cliopts.Options{
 		Workers:   r.Workers,
 		Solver:    r.Solver,
-		Warmstart: r.Warmstart,
 		Strategy:  r.Strategy,
 		Fuzz:      r.Fuzz,
 		CoverGoal: r.CoverGoal,
@@ -251,7 +246,6 @@ type View struct {
 	Tool            string  `json:"tool"`
 	Workers         int     `json:"workers,omitempty"`
 	Solver          string  `json:"solver,omitempty"`
-	Warmstart       bool    `json:"warmstart,omitempty"`
 	Strategy        string  `json:"strategy,omitempty"`
 	Fuzz            bool    `json:"fuzz,omitempty"`
 	CoverGoal       float64 `json:"cover_goal,omitempty"`
@@ -276,7 +270,6 @@ func (j *Job) view() View {
 		Tool:            j.Req.Tool,
 		Workers:         j.Req.Workers,
 		Solver:          j.Req.Solver,
-		Warmstart:       j.Req.Warmstart,
 		Strategy:        j.Req.Strategy,
 		Fuzz:            j.Req.Fuzz,
 		CoverGoal:       j.Req.CoverGoal,

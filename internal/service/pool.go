@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/solver"
 	"repro/internal/tools"
-	"repro/internal/warmstore"
 )
 
 // Submission errors surfaced as HTTP statuses by the handlers.
@@ -33,7 +32,6 @@ type pool struct {
 	metrics *Metrics
 	queue   chan *Job
 	resolve func(string) (tools.Profile, bool)
-	warm    *warmstore.Store  // nil unless concolicd opened -warmstart
 	shared  solver.QueryCache // nil unless concolicd opened -sharedcache
 	wg      sync.WaitGroup
 
@@ -59,7 +57,6 @@ func newPool(store *Store, metrics *Metrics, cfg Config) *pool {
 		metrics:    metrics,
 		queue:      make(chan *Job, cfg.QueueDepth),
 		resolve:    cfg.ResolveProfile,
-		warm:       cfg.Warm,
 		shared:     cfg.SharedCache,
 		replica:    cfg.Replica,
 		peers:      cfg.Peers,
@@ -115,23 +112,34 @@ func (p *pool) jobContext(req Request) (context.Context, context.CancelFunc) {
 	return context.WithCancel(p.baseCtx)
 }
 
-// capsFor projects a validated request onto the resolved tool profile's
-// engine capabilities — the one place the service decides what an
-// engine run looks like, shared by the local and stolen-job paths so a
-// stolen job runs exactly as it would have at home (plus this replica's
-// shared cache tier, which cannot change verdicts).
-func (p *pool) capsFor(req Request, prof *tools.Profile) {
+// prepare validates a request and builds its engine run: the bomb and
+// the resolved tool profile with the request projected onto its
+// capabilities. It is the one place the service decides what an engine
+// run looks like, shared by the local and stolen-job paths so a stolen
+// job runs exactly as it would have at home (plus this replica's shared
+// cache tier, which cannot change verdicts). Submission validated the
+// request already, but a job replayed from the journal or stolen from a
+// peer on another version can name a value this replica does not
+// accept; it fails with the validation error instead of running under
+// defaults.
+func (p *pool) prepare(req Request) (*bombs.Bomb, tools.Profile, error) {
+	if err := req.Validate(); err != nil {
+		return nil, tools.Profile{}, err
+	}
+	b, _ := bombs.ByName(req.Bomb) // Validate checked it
+	prof, ok := p.resolve(req.Tool)
+	if !ok {
+		return nil, tools.Profile{}, errors.New("request not resolvable on replica " + p.replica)
+	}
 	prof.Caps.Workers = req.Workers
-	prof.Caps.SolverMode, _ = req.solverMode() // validated at submission
+	prof.Caps.SolverMode, _ = req.solverMode() // Validate checked it
 	if req.Strategy != "" {
-		prof.Caps.Search, _ = req.searchStrategy() // validated at submission
+		prof.Caps.Search, _ = req.searchStrategy() // Validate checked it
 	}
 	prof.Caps.Fuzz = req.Fuzz
 	prof.Caps.CoverGoal = req.CoverGoal
-	if req.Warmstart && p.warm != nil {
-		prof.Caps.Warm = p.warm
-	}
 	prof.Caps.SharedCache = p.shared
+	return b, prof, nil
 }
 
 // runJob executes one job end to end: build the job context (cancel
@@ -150,15 +158,12 @@ func (p *pool) runJob(j *Job) {
 	}
 	p.metrics.JobStarted()
 
-	b, okB := bombs.ByName(j.Req.Bomb)
-	prof, okT := p.resolve(j.Req.Tool)
-	if !okB || !okT {
-		// Validation runs at submission; this guards registry drift.
-		p.store.Finish(j, StateFailed, nil, "request no longer resolvable")
+	b, prof, err := p.prepare(j.Req)
+	if err != nil {
+		p.store.Finish(j, StateFailed, nil, err.Error())
 		p.metrics.JobFinished(StateFailed, nil, true)
 		return
 	}
-	p.capsFor(j.Req, &prof)
 	prof.Caps.Progress = func(pr core.Progress) {
 		p.store.AppendProgress(j, ProgressEvent{Progress: pr})
 	}
@@ -181,12 +186,10 @@ func (p *pool) runRemote(req Request) (State, *Result, string) {
 	ctx, cancel := p.jobContext(req)
 	defer cancel()
 
-	b, okB := bombs.ByName(req.Bomb)
-	prof, okT := p.resolve(req.Tool)
-	if !okB || !okT {
-		return StateFailed, nil, "request not resolvable on replica " + p.replica
+	b, prof, err := p.prepare(req)
+	if err != nil {
+		return StateFailed, nil, err.Error()
 	}
-	p.capsFor(req, &prof)
 	en := core.New(b.Image(), b.BombAddr(), prof.Caps)
 	out := en.ExploreContext(ctx, b.Benign)
 	state := StateDone

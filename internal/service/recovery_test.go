@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,5 +124,49 @@ func TestRecoveryResumesInterruptedJobs(t *testing.T) {
 		if views[i].ID != want {
 			t.Fatalf("recovered order[%d] = %s, want %s", i, views[i].ID, want)
 		}
+	}
+}
+
+// TestRecoveryRevalidatesQueuedJobs replays a journal holding queued
+// requests this replica does not accept — an unknown solver mode, and a
+// mode an older server accepted — next to a finished job of that older
+// mode. The queued jobs must fail with the same error a submission gets,
+// not run under defaults; the finished job keeps serving its result.
+func TestRecoveryRevalidatesQueuedJobs(t *testing.T) {
+	dir := t.TempDir()
+	old := openJL(t, dir)
+	res, _ := json.Marshal(Result{Verdict: "solved", Label: "ok", Rounds: 4})
+	for _, rec := range []jobstore.Record{
+		{ID: "job-000001", Req: json.RawMessage(`{"bomb":"array1","tool":"reference","solver":"bogus"}`), State: string(StateQueued)},
+		{ID: "job-000002", Req: json.RawMessage(`{"bomb":"array1","tool":"reference","solver":"portfolio","warmstart":true}`), State: string(StateQueued)},
+		{ID: "job-000003", Req: json.RawMessage(`{"bomb":"array1","tool":"reference","solver":"portfolio"}`), State: string(StateDone), Result: res},
+	} {
+		rec.Submitted = time.Now()
+		old.Put(rec)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jl := openJL(t, dir)
+	defer jl.Close()
+	s := New(Config{Workers: 1, QueueDepth: 8, ResolveProfile: fastResolve, Jobs: jl})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	})
+
+	for id, mode := range map[string]string{"job-000001": "bogus", "job-000002": "portfolio"} {
+		v := waitState(t, ts, id, StateFailed, 30*time.Second)
+		want := `unknown solver mode "` + mode + `" (valid: fresh, incremental)`
+		if !strings.Contains(v.Error, want) || v.Result != nil {
+			t.Errorf("%s: error %q, result %+v; want the error %q and no result", id, v.Error, v.Result, want)
+		}
+	}
+	if v := getJob(t, ts, "job-000003"); v.State != StateDone || v.Result == nil || v.Result.Rounds != 4 {
+		t.Errorf("finished job after recovery: %+v", v)
 	}
 }

@@ -96,8 +96,9 @@ func TestTargetSchemaVersions(t *testing.T) {
 
 // TestResultDecodesParentWireShape pins journal replay across the stats
 // schema: a Result written by an older server — per-job stats with only
-// the keys it knew, zero-valued optional keys absent, wall time in
-// milliseconds — decodes to the same values, and re-encodes losslessly.
+// the keys it knew, zero-valued optional keys absent, keys of counters
+// since removed, wall time in milliseconds — decodes to the same values
+// for every counter that remains, and re-encodes losslessly.
 func TestResultDecodesParentWireShape(t *testing.T) {
 	const old = `{"verdict":"solved","label":"","rounds":3,"input":{"argv1":"7"},` +
 		`"stats":{"workers":2,"solver_queries":9,"cache_hits":4,"cache_misses":5,` +
@@ -107,8 +108,7 @@ func TestResultDecodesParentWireShape(t *testing.T) {
 		`"sharedcache_misses":12,"sharedcache_stores":13,"sharedcache_served":14}}`
 	want := Result{Verdict: "solved", Rounds: 3, Input: &SolvedInput{Argv1: "7"}}
 	want.Stats = core.Stats{Workers: 2, SolverQueries: 9, CacheHits: 4, CacheMisses: 5,
-		PeakFrontier: 6, WallTime: 1234 * time.Millisecond, PortfolioRaces: 7,
-		PortfolioClausesShared: 8, WarmQueryHits: 1, WarmClausesSeeded: 10,
+		PeakFrontier: 6, WallTime: 1234 * time.Millisecond,
 		CoveredEdges: 40, CoveredBlocks: 20, FuzzExecs: 48, FuzzSeedsPromoted: 3,
 		SharedCacheHits: 11, SharedCacheMisses: 12, SharedCacheStores: 13, SharedCacheServed: 14}
 	for _, doc := range []string{old, `{"verdict":"unreachable","label":"","rounds":0,"stats":{"workers":1,"solver_queries":0,"cache_hits":0,"cache_misses":0,"peak_frontier":1,"wall_ms":0}}`} {

@@ -31,7 +31,6 @@ import (
 	"repro/internal/jobstore"
 	"repro/internal/solver"
 	"repro/internal/tools"
-	"repro/internal/warmstore"
 )
 
 // Config sizes the service.
@@ -48,11 +47,6 @@ type Config struct {
 	// tools.ByName. Validation still requires the name to exist there, so
 	// a resolver only adjusts capabilities, it cannot widen the API.
 	ResolveProfile func(name string) (tools.Profile, bool)
-	// Warm is the shared warm-start store jobs opt into with
-	// {"warmstart": true} (portfolio solver only). Nil disables warm
-	// starting; the caller owns the store's lifecycle (concolicd opens it
-	// from -warmstart and closes it after drain).
-	Warm *warmstore.Store
 	// Jobs is the disk-backed job registry (concolicd -store). Nil keeps
 	// the registry in memory. On New, persisted jobs are replayed: done
 	// jobs' results become fetchable again and queued/running jobs are

@@ -28,12 +28,16 @@ import (
 	"repro/internal/journal"
 )
 
-// Entry is one persisted query verdict.
+// Entry is one persisted query verdict. Exact is an exact, collision-
+// checked identity of the query, stored by the solver layer on entries
+// without a model: a model can be re-checked against the query, a bare
+// unsat or unknown verdict cannot.
 type Entry struct {
 	Key       string            `json:"k"`
 	Status    int               `json:"s"`
 	Conflicts int64             `json:"n,omitempty"`
 	Model     map[string]uint64 `json:"m,omitempty"`
+	Exact     string            `json:"x,omitempty"`
 }
 
 // Stats counts tier traffic since Open.

@@ -35,7 +35,11 @@ import (
 // work without perturbing verdicts. Entries that arrived from the tier
 // are tagged, and the SharedServed counter charges both the direct tier
 // hit and every later LRU re-hit on such an entry: it answers "how many
-// queries were decided by someone else's solve".
+// queries were decided by someone else's solve". The digest is lossy, so
+// a tier sat model is re-checked against the system and a tier unsat or
+// unknown verdict is served only under the system's exact key (the hex
+// sym.StableKey stored with it); that key is computed only on non-sat
+// stores and non-sat tier hits.
 //
 // A Cache is safe for concurrent use by multiple goroutines.
 type Cache struct {
@@ -183,7 +187,11 @@ func (c *Cache) SolveContext(ctx context.Context, constraints []sym.Expr, opts O
 	if !timedOut {
 		c.store(key, cachedResult{status: st, conflicts: conflicts, model: cloneEnv(model)})
 		if shared != nil {
-			shared.Store(sharedKey, CachedResult{Status: st, Conflicts: conflicts, Model: cloneEnv(model)})
+			entry := CachedResult{Status: st, Conflicts: conflicts, Model: cloneEnv(model)}
+			if st != StatusSat {
+				entry.Exact = exactKey(constraints)
+			}
+			shared.Store(sharedKey, entry)
 			c.mu.Lock()
 			c.sharedStores++
 			c.mu.Unlock()

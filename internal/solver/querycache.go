@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"encoding/hex"
+
 	"repro/internal/sharedcache"
 	"repro/internal/sym"
 )
@@ -15,6 +17,7 @@ type CachedResult struct {
 	Status    Status
 	Conflicts int64
 	Model     map[string]uint64 // raw model; nil unless Status is sat
+	Exact     string            // exactKey of the system; set unless Status is sat
 }
 
 // QueryCache is a persistent or remote tier behind the in-memory LRU
@@ -45,7 +48,7 @@ func (s sharedTier) Lookup(key string) (CachedResult, bool) {
 	if !ok {
 		return CachedResult{}, false
 	}
-	return CachedResult{Status: Status(e.Status), Conflicts: e.Conflicts, Model: e.Model}, true
+	return CachedResult{Status: Status(e.Status), Conflicts: e.Conflicts, Model: e.Model, Exact: e.Exact}, true
 }
 
 func (s sharedTier) Store(key string, res CachedResult) {
@@ -54,17 +57,29 @@ func (s sharedTier) Store(key string, res CachedResult) {
 		Status:    int(res.Status),
 		Conflicts: res.Conflicts,
 		Model:     res.Model,
+		Exact:     res.Exact,
 	})
 }
 
-// validateShared converts a persisted entry — from a QueryCache tier or
-// the portfolio's warm-start store — back into a raw in-memory result,
-// distrusting satisfying models that do not satisfy the system: a digest
-// collision or a stale, foreign or corrupt store must degrade to a miss,
-// never to a wrong verdict.
+// exactKey is the hex sym.StableKey of a system: the collision-checked
+// identity a tier entry must carry before its unsat or unknown verdict
+// is trusted.
+func exactKey(constraints []sym.Expr) string {
+	return hex.EncodeToString([]byte(sym.StableKey(constraints)))
+}
+
+// validateShared converts an entry from a QueryCache tier back into a
+// raw in-memory result. Tier keys are lossy 64-bit-per-constraint
+// digests, so no entry is trusted on its key alone: a satisfying model
+// must satisfy the system, and an unsat or unknown verdict must carry
+// the system's exact key. A digest collision or a stale, foreign or
+// corrupt store degrades to a miss, never to a wrong verdict.
 func validateShared(res CachedResult, constraints []sym.Expr) (cachedResult, bool) {
 	switch res.Status {
 	case StatusUnsat, StatusUnknown:
+		if res.Exact == "" || res.Exact != exactKey(constraints) {
+			return cachedResult{}, false
+		}
 		return cachedResult{status: res.Status, conflicts: res.Conflicts}, true
 	case StatusSat:
 		for _, c := range constraints {

@@ -98,3 +98,62 @@ func TestSharedTierRejectsInvalidModel(t *testing.T) {
 		t.Fatalf("poisoned entry was counted as a hit: %+v", st)
 	}
 }
+
+// TestSharedTierUnsatNeedsExactKey injects Unsat entries under the
+// digest key of a satisfiable system, as a digest collision would leave
+// them. Without the system's exact key, or under a wrong one, the entry
+// must degrade to a miss and a local solve; under the right key it is
+// served.
+func TestSharedTierUnsatNeedsExactKey(t *testing.T) {
+	sys := eqSys("collide", 5)
+	key := "d:" + sym.DigestKey(sys) + ":" + "100000"
+	for _, tc := range []struct {
+		name, exact string
+		want        Status
+		served      uint64
+	}{
+		{"no exact key", "", StatusSat, 0},
+		{"wrong exact key", exactKey(eqSys("collide", 6)), StatusSat, 0},
+		{"exact key", exactKey(sys), StatusUnsat, 1},
+	} {
+		tier := openTier(t, t.TempDir())
+		tier.Store(sharedcache.Entry{Key: key, Status: int(StatusUnsat), Exact: tc.exact})
+		c := NewCache(16)
+		c.SetShared(SharedTier(tier))
+		r, err := c.Solve(sys, Options{MaxConflicts: 100000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Status != tc.want {
+			t.Errorf("%s: got %v, want %v", tc.name, r.Status, tc.want)
+		}
+		if st := c.Stats(); st.SharedServed != tc.served {
+			t.Errorf("%s: shared served %d, want %d (%+v)", tc.name, st.SharedServed, tc.served, st)
+		}
+	}
+}
+
+// TestSharedTierStoresExactKeyOnNonSatOnly checks what a local solve
+// writes through: an unsat verdict carries the exact key, a sat one
+// (checkable by its model) does not.
+func TestSharedTierStoresExactKeyOnNonSatOnly(t *testing.T) {
+	tier := openTier(t, t.TempDir())
+	c := NewCache(16)
+	c.SetShared(SharedTier(tier))
+	x := sym.NewVar("xk", 8)
+	unsat := []sym.Expr{sym.NewBin(sym.OpUlt, x, sym.NewConst(3, 8)), sym.NewBin(sym.OpUlt, sym.NewConst(7, 8), x)}
+	sat := eqSys("xk", 4)
+	for _, sys := range [][]sym.Expr{unsat, sat} {
+		if _, err := c.Solve(sys, Options{MaxConflicts: 100000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	u, ok := tier.Lookup("d:" + sym.DigestKey(unsat) + ":100000")
+	if !ok || u.Status != int(StatusUnsat) || u.Exact != exactKey(unsat) {
+		t.Errorf("unsat entry %+v (found %v), want exact key %q", u, ok, exactKey(unsat))
+	}
+	s, ok := tier.Lookup("d:" + sym.DigestKey(sat) + ":100000")
+	if !ok || s.Status != int(StatusSat) || s.Exact != "" {
+		t.Errorf("sat entry %+v (found %v), want no exact key", s, ok)
+	}
+}

@@ -66,10 +66,9 @@ type SessionStats struct {
 //
 // A Session is not safe for concurrent use.
 type Session struct {
-	ctx       context.Context
-	opts      Options
-	cache     *Cache
-	interrupt func() bool
+	ctx   context.Context
+	opts  Options
+	cache *Cache
 
 	sat *sat.Solver
 	enc *bitblast.Encoder
@@ -102,16 +101,7 @@ func NewSession(ctx context.Context, opts SessionOptions) *Session {
 	}
 }
 
-// SetInterrupt installs an extra cancellation probe consulted alongside
-// the session context during Checks, so a portfolio race can stop this
-// session's in-flight query the moment a rival worker answers. An
-// interrupted Check reports StatusUnknown and, like a deadline timeout,
-// is never cached. A nil probe removes it.
-func (s *Session) SetInterrupt(probe func() bool) { s.interrupt = probe }
-
-func (s *Session) interrupted() bool {
-	return s.ctx.Err() != nil || (s.interrupt != nil && s.interrupt())
-}
+func (s *Session) interrupted() bool { return s.ctx.Err() != nil }
 
 // Assert appends constraints to the session's path prefix. Each is
 // encoded once, permanently; constraints already implied by earlier

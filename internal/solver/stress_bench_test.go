@@ -8,9 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/exchange"
 	"repro/internal/sym"
-	"repro/internal/warmstore"
 )
 
 // The solver stress suite: constraint-problem bombs modeled on the
@@ -20,10 +18,10 @@ import (
 // (a·b = N with 1 < a ≤ b, product at double width so it cannot wrap);
 // unsat instances "factor" a prime, forcing a full refutation.
 //
-// Budgets are chosen from measured per-config conflict counts so that
-// the default configuration exhausts on some instances while at least
-// one diversified rival cracks them: the portfolio's win under a fixed
-// budget is coverage, not raw speed.
+// Each budget covers what fresh solving needs for the instance, in
+// suite order 3,488 / 1,600 / 2,049 / 6,667 conflicts, so the suite
+// separates a mode that decides every instance at these budgets from
+// one that exhausts some of them.
 type stressInstance struct {
 	name    string
 	w       int    // factor width; product is 2w wide
@@ -34,7 +32,7 @@ type stressInstance struct {
 
 func stressSuite() []stressInstance {
 	return []stressInstance{
-		{"factor-semiprime-24", 24, 16768681, 6_000, true}, // default needs ~12k conflicts, a rival ~4k
+		{"factor-semiprime-24", 24, 16768681, 6_000, true}, // fresh needs 3,488 conflicts
 		{"factor-prime-18", 18, 262139, 4_000, false},
 		{"factor-prime-20", 20, 1048573, 4_000, false},
 		{"factor-semiprime-26", 26, 67239919, 10_000, true},
@@ -53,6 +51,26 @@ func stressFactorSystem(w int, n uint64) []sym.Expr {
 		sym.NewBin(sym.OpUlt, one, b),
 		sym.NewBin(sym.OpUle, a, b),
 	}
+}
+
+// runStressFresh decides every instance with one fresh Solve of the
+// whole system (the default -solver=fresh discipline). Returns the
+// conclusive verdict count and the verdicts.
+func runStressFresh(t testing.TB, suite []stressInstance) (int, []Status) {
+	solved := 0
+	verdicts := make([]Status, len(suite))
+	for i, ins := range suite {
+		r, err := SolveContext(context.Background(), stressFactorSystem(ins.w, ins.n), Options{MaxConflicts: ins.budget})
+		if err != nil {
+			t.Fatalf("%s: %v", ins.name, err)
+		}
+		verdicts[i] = r.Status
+		if r.Status == StatusSat || r.Status == StatusUnsat {
+			solved++
+			checkStressVerdict(t, ins, r)
+		}
+	}
+	return solved, verdicts
 }
 
 // runStressIncremental decides every instance through a fresh Session
@@ -81,39 +99,6 @@ func runStressIncremental(t testing.TB, suite []stressInstance) (int, []Status) 
 	return solved, verdicts
 }
 
-// runStressPortfolio decides every instance through a Portfolio with a
-// shared exchange (and optional warm-start store).
-func runStressPortfolio(t testing.TB, suite []stressInstance, warm *warmstore.Store) (int, []Status, PortfolioStats) {
-	solved := 0
-	verdicts := make([]Status, len(suite))
-	var agg PortfolioStats
-	ex := exchange.New()
-	for i, ins := range suite {
-		cs := stressFactorSystem(ins.w, ins.n)
-		pf := NewPortfolio(context.Background(), PortfolioOptions{
-			Options:  Options{MaxConflicts: ins.budget},
-			Exchange: ex,
-			Warm:     warm,
-		})
-		pf.Assert(cs[1:]...)
-		r, err := pf.CheckSeeded(cs[0], int64(1000+i))
-		if err != nil {
-			t.Fatalf("%s: %v", ins.name, err)
-		}
-		verdicts[i] = r.Status
-		if r.Status == StatusSat || r.Status == StatusUnsat {
-			solved++
-			checkStressVerdict(t, ins, r)
-		}
-		st := pf.Stats()
-		agg.Races += st.Races
-		agg.WarmQueryHits += st.WarmQueryHits
-		agg.ClausesShared += st.ClausesShared
-		agg.ClausesImported += st.ClausesImported
-	}
-	return solved, verdicts, agg
-}
-
 func checkStressVerdict(t testing.TB, ins stressInstance, r Result) {
 	wantStatus := StatusUnsat
 	if ins.wantSat {
@@ -131,32 +116,31 @@ func checkStressVerdict(t testing.TB, ins stressInstance, r Result) {
 	}
 }
 
-// TestStressSuiteConsistency runs the suite under both modes and checks
-// conclusive verdicts always agree and the portfolio never solves fewer
-// instances than the incremental baseline (worker 0 replicates the
-// default configuration, so conclusiveness can only be gained).
+// TestStressSuiteConsistency runs the suite fresh and incremental and
+// checks that conclusive verdicts agree and that fresh solving decides
+// every instance within the suite budgets.
 func TestStressSuiteConsistency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress suite in -short mode")
 	}
-	suite := stressSuite()[:3] // the cheap instances
-	incSolved, incV := runStressIncremental(t, suite)
-	pfSolved, pfV, _ := runStressPortfolio(t, suite, nil)
+	suite := stressSuite()
+	freshSolved, freshV := runStressFresh(t, suite)
+	_, incV := runStressIncremental(t, suite)
 	for i := range suite {
+		fConc := freshV[i] == StatusSat || freshV[i] == StatusUnsat
 		iConc := incV[i] == StatusSat || incV[i] == StatusUnsat
-		pConc := pfV[i] == StatusSat || pfV[i] == StatusUnsat
-		if iConc && pConc && incV[i] != pfV[i] {
-			t.Fatalf("%s: incremental %v, portfolio %v", suite[i].name, incV[i], pfV[i])
+		if fConc && iConc && freshV[i] != incV[i] {
+			t.Fatalf("%s: fresh %v, incremental %v", suite[i].name, freshV[i], incV[i])
 		}
 	}
-	if pfSolved < incSolved {
-		t.Fatalf("portfolio solved %d < incremental %d", pfSolved, incSolved)
+	if freshSolved != len(suite) {
+		t.Fatalf("fresh solved %d of %d stress instances (verdicts %v)", freshSolved, len(suite), freshV)
 	}
 }
 
-// BenchmarkStressIncremental and BenchmarkStressPortfolio time the
-// budget-bound stress suite under both modes; the portfolio's figure of
-// merit is the solved count reported alongside wall time.
+// BenchmarkStressIncremental times the budget-bound stress suite under
+// incremental sessions; the solved count is reported alongside wall
+// time.
 func BenchmarkStressIncremental(b *testing.B) {
 	suite := stressSuite()
 	solved := 0
@@ -166,57 +150,16 @@ func BenchmarkStressIncremental(b *testing.B) {
 	b.ReportMetric(float64(solved), "solved")
 }
 
-func BenchmarkStressPortfolio(b *testing.B) {
-	suite := stressSuite()
-	solved := 0
-	for i := 0; i < b.N; i++ {
-		solved, _, _ = runStressPortfolio(b, suite, nil)
-	}
-	b.ReportMetric(float64(solved), "solved")
-}
-
-// BenchmarkRoundPortfolio is the portfolio counterpart of
-// BenchmarkRoundFresh / BenchmarkRoundIncremental.
-func BenchmarkRoundPortfolio(b *testing.B) {
-	cs := benchChain(benchRoundQueries)
-	opts := Options{MaxConflicts: 1_000_000}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pf := NewPortfolio(context.Background(), PortfolioOptions{
-			Options: opts, Exchange: exchange.New(),
-		})
-		for j, c := range cs {
-			r, err := pf.Check(sym.NewBoolNot(c))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if r.Status == StatusUnknown {
-				b.Fatalf("query %d unknown", j)
-			}
-			pf.Assert(c)
-		}
-	}
-	b.ReportMetric(float64(b.N*benchRoundQueries)/b.Elapsed().Seconds(), "queries/s")
-}
-
 // bench6 is the trajectory entry emitted by TestBench6Emit.
 type bench6 struct {
 	GOMAXPROCS int `json:"gomaxprocs"`
 
 	RoundFreshQPS       float64 `json:"round_fresh_qps"`
 	RoundIncrementalQPS float64 `json:"round_incremental_qps"`
-	RoundPortfolioQPS   float64 `json:"round_portfolio_qps"`
 
 	StressInstances          int     `json:"stress_instances"`
 	StressIncrementalSolved  int     `json:"stress_incremental_solved"`
-	StressPortfolioSolved    int     `json:"stress_portfolio_solved"`
 	StressIncrementalSeconds float64 `json:"stress_incremental_seconds"`
-	StressPortfolioSeconds   float64 `json:"stress_portfolio_seconds"`
-
-	WarmColdSeconds float64 `json:"warm_cold_seconds"`
-	WarmWarmSeconds float64 `json:"warm_warm_seconds"`
-	WarmQueryHits   int     `json:"warm_query_hits"`
-	ClausesShared   int64   `json:"clauses_shared"`
 }
 
 // TestBench6Emit measures the PR's trajectory numbers and writes them to
@@ -231,7 +174,7 @@ func TestBench6Emit(t *testing.T) {
 	b6.GOMAXPROCS = runtime.GOMAXPROCS(0)
 
 	// Round benchmark: one engine round (6 negation queries over a
-	// shared prefix), fresh vs incremental vs portfolio.
+	// shared prefix), fresh vs incremental.
 	cs := benchChain(benchRoundQueries)
 	opts := Options{MaxConflicts: 1_000_000}
 	const rounds = 3
@@ -258,60 +201,12 @@ func TestBench6Emit(t *testing.T) {
 	}
 	b6.RoundIncrementalQPS = rounds * benchRoundQueries / time.Since(start).Seconds()
 
-	start = time.Now()
-	for r := 0; r < rounds; r++ {
-		pf := NewPortfolio(context.Background(), PortfolioOptions{Options: opts, Exchange: exchange.New()})
-		for _, c := range cs {
-			if _, err := pf.Check(sym.NewBoolNot(c)); err != nil {
-				t.Fatal(err)
-			}
-			pf.Assert(c)
-		}
-	}
-	b6.RoundPortfolioQPS = rounds * benchRoundQueries / time.Since(start).Seconds()
-
 	// Stress suite: solved-under-budget coverage and wall time.
 	suite := stressSuite()
 	b6.StressInstances = len(suite)
 	start = time.Now()
 	b6.StressIncrementalSolved, _ = runStressIncremental(t, suite)
 	b6.StressIncrementalSeconds = time.Since(start).Seconds()
-	start = time.Now()
-	var agg PortfolioStats
-	b6.StressPortfolioSolved, _, agg = runStressPortfolio(t, suite, nil)
-	b6.StressPortfolioSeconds = time.Since(start).Seconds()
-	b6.ClausesShared = agg.ClausesShared
-	if b6.StressPortfolioSolved < b6.StressIncrementalSolved {
-		t.Fatalf("portfolio solved %d < incremental %d",
-			b6.StressPortfolioSolved, b6.StressIncrementalSolved)
-	}
-
-	// Warm start: the same portfolio suite cold, then again from the
-	// store a second process would load.
-	dir := t.TempDir()
-	w1, err := warmstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start = time.Now()
-	runStressPortfolio(t, suite, w1)
-	b6.WarmColdSeconds = time.Since(start).Seconds()
-	if err := w1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := warmstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	start = time.Now()
-	_, _, warmAgg := runStressPortfolio(t, suite, w2)
-	b6.WarmWarmSeconds = time.Since(start).Seconds()
-	b6.WarmQueryHits = warmAgg.WarmQueryHits
-	if b6.WarmWarmSeconds >= b6.WarmColdSeconds {
-		t.Errorf("warm run (%.3fs) not faster than cold (%.3fs)",
-			b6.WarmWarmSeconds, b6.WarmColdSeconds)
-	}
 
 	data, err := json.MarshalIndent(b6, "", "  ")
 	if err != nil {

@@ -25,12 +25,12 @@ func TestEditDistance(t *testing.T) {
 }
 
 func TestClosest(t *testing.T) {
-	names := []string{"fresh", "incremental", "portfolio"}
+	names := []string{"fresh", "incremental"}
 	cases := []struct {
 		query, want string
 	}{
 		{"fersh", "fresh"},
-		{"portfolo", "portfolio"},
+		{"incremantal", "incremental"},
 		{"incremental", "incremental"},
 		{"z3", ""}, // nothing plausible
 		{"", ""},   // empty query never suggests
@@ -45,11 +45,11 @@ func TestClosest(t *testing.T) {
 // TestUnknownShape pins the uniform error dialect: kind, rejected name,
 // the full valid list, and a suggestion when one is plausible.
 func TestUnknownShape(t *testing.T) {
-	err := Unknown("solver mode", "fersh", []string{"fresh", "incremental", "portfolio"})
+	err := Unknown("solver mode", "fersh", []string{"fresh", "incremental"})
 	msg := err.Error()
 	for _, want := range []string{
 		`unknown solver mode "fersh"`,
-		"valid: fresh, incremental, portfolio",
+		"valid: fresh, incremental",
 		`did you mean "fresh"?`,
 	} {
 		if !strings.Contains(msg, want) {

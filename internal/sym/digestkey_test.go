@@ -37,7 +37,7 @@ func TestDigestKeyStructural(t *testing.T) {
 }
 
 // The digest key must be hex (JSON- and file-format-safe): it ends up
-// inside sharedcache and warmstore JSONL records.
+// inside sharedcache JSONL records.
 func TestDigestKeyIsHex(t *testing.T) {
 	k := DigestKey([]Expr{NewBin(OpEq, NewVar("v", 8), NewConst(3, 8))})
 	for _, r := range k {
