@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: ci vet build race fuzz test test-short bench tables clean
 
@@ -14,9 +15,13 @@ GO ?= go
 # model), then the full suite.
 ci: vet build race fuzz test
 
-# bench/ is its own module (replace repro => ../), invisible to the
-# root ./...; vetting it catches core/service type changes that break it.
+# vet fails on any Go file gofmt would rewrite, bench/ and dot
+# directories excepted. bench/ is its own module (replace repro => ../),
+# invisible to the root ./...; vetting it catches core/service type
+# changes that break it.
 vet:
+	@unformatted=$$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' -print | xargs $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) -C bench vet ./...
 

@@ -716,18 +716,6 @@ func faultIndex(tr *trace.Trace) int {
 	return -1
 }
 
-func traceUsesWeb(tr *trace.Trace) bool {
-	if tr == nil {
-		return false
-	}
-	for i := range tr.Entries {
-		if s := tr.Entries[i].Sys; s != nil && s.Num == trace.SysWebGet {
-			return true
-		}
-	}
-	return false
-}
-
 func (en *Engine) mergeIncidents(ins []symexec.Incident) {
 	for _, in := range ins {
 		key := fmt.Sprintf("%d|%#x|%s", in.Stage, in.PC, in.Detail)

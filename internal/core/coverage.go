@@ -166,7 +166,7 @@ func (en *Engine) breed() bool {
 			continue
 		}
 		en.fuzzSeen[key] = true
-		m, res, _, _, _, err := en.runConcrete(in, parent.plan)
+		_, res, _, _, _, err := en.runConcrete(in, parent.plan, false)
 		if err != nil {
 			continue
 		}
@@ -178,33 +178,41 @@ func (en *Engine) breed() bool {
 		// A tool whose tracer rejects runs through exception dispatch (or
 		// unsupported network IO) observes nothing from such a run: no
 		// coverage, no detonation, no seed.
-		if faultIndex(res.Trace) >= 0 && en.caps.Sym.Exc != symexec.ExcTrace {
+		if res.Faulted && en.caps.Sym.Exc != symexec.ExcTrace {
 			continue
 		}
-		if !en.caps.WebSyscall && traceUsesWeb(res.Trace) {
+		if !en.caps.WebSyscall && res.Web {
 			continue
 		}
-		set := cover.FromTrace(res.Trace, en.leaders)
-		newEdges, _ := en.cov.Merge(set)
-		cover.Global().Merge(set)
+		// A resumed mutant's set leaves out the prefix it shares with its
+		// parent. Merging it is still exact, because every corpus
+		// entry's whole run — and through its plan, every prefix a mutant
+		// can resume from — was merged into en.cov before the entry joined
+		// the corpus (TestBreedPrefixAlreadyCovered).
+		newEdges, _ := en.cov.Merge(res.Cover)
+		cover.Global().Merge(res.Cover)
 		if res.Hit(en.target) {
 			en.out.Verdict = VerdictSolved
 			en.out.Input = in
 			return true
 		}
-		if newEdges > 0 && promoted < maxFuzzPromote {
-			var plan *replayPlan
-			if en.caps.Checkpoint == CheckpointAuto {
-				plan = makePlan(in, res, m.Snapshots(), parent.plan)
-			}
-			before := len(en.seenInput)
-			en.push(candidate{in: in, plan: plan})
-			if len(en.seenInput) > before {
-				promoted++
-				en.stats.FuzzSeedsPromoted++
-				en.corpusAdd(in, plan)
+		// Promote only what push would keep: the mutant is not in
+		// seenInput (checked above), so only the candidate cap can drop it.
+		if newEdges == 0 || promoted >= maxFuzzPromote || len(en.seenInput) >= en.caps.MaxCandidates {
+			continue
+		}
+		var plan *replayPlan
+		if en.caps.Checkpoint == CheckpointAuto {
+			// The coverage-only run kept no trace to build a replay plan
+			// from; re-run the promoted mutant recording, as a round would.
+			if m, rres, _, _, _, rerr := en.runConcrete(in, parent.plan, true); rerr == nil {
+				plan = makePlan(in, rres, m.Snapshots(), parent.plan)
 			}
 		}
+		en.push(candidate{in: in, plan: plan})
+		promoted++
+		en.stats.FuzzSeedsPromoted++
+		en.corpusAdd(in, plan)
 	}
 	return false
 }

@@ -267,7 +267,7 @@ func (en *Engine) runRound(c candidate, idx int) *roundRec {
 	}
 
 	ckptOn := en.caps.Checkpoint == CheckpointAuto
-	m, res, prefixLen, resumed, skipped, err := en.runConcrete(in, c.plan)
+	m, res, prefixLen, resumed, skipped, err := en.runConcrete(in, c.plan, true)
 	if err != nil {
 		rec.emit(event{kind: evTerminal, verdict: VerdictCrashed, detail: err.Error()})
 		return rec
@@ -278,11 +278,12 @@ func (en *Engine) runRound(c candidate, idx int) *roundRec {
 	rec.stats.InstructionsSkipped = skipped
 	rec.stats.CheckpointsTaken = len(m.Snapshots())
 	rec.stats.PagesCOWFaulted = m.COWFaults()
-	// Every concrete trace feeds coverage, whatever the strategy: the
-	// counters stay comparable across strategies, and checkpointed runs
-	// contribute identical sets (the stitched prefix replays the same
-	// entries a from-scratch run would record).
-	rec.cov = cover.FromTrace(res.Trace, en.leaders)
+	// Every concrete run feeds coverage, whatever the strategy, so the
+	// counters stay comparable across strategies. A resumed run's set
+	// leaves out its replayed prefix: that prefix is the parent's, and
+	// the parent's whole run was merged before this candidate existed
+	// (see breed), so the merged novelty is a from-scratch run's.
+	rec.cov = res.Cover
 	rec.input = in
 
 	if res.Reason == gos.StopFault {
@@ -318,7 +319,7 @@ func (en *Engine) runRound(c candidate, idx int) *roundRec {
 	}
 
 	// Emulation-layer gaps: network IO the engine cannot perform.
-	if !en.caps.WebSyscall && traceUsesWeb(res.Trace) {
+	if !en.caps.WebSyscall && res.Web {
 		rec.emit(event{kind: evTerminal, verdict: VerdictCrashed,
 			detail: "network system call unsupported by the emulation layer"})
 		return rec
@@ -373,18 +374,28 @@ func (en *Engine) runRound(c candidate, idx int) *roundRec {
 // copy of the shared trace prefix. Any resume failure falls back to a
 // from-scratch run — the result is identical either way. Shared by
 // concolic rounds and fuzz breed executions.
-func (en *Engine) runConcrete(in target.Input, plan *replayPlan) (m *gos.Machine, res *gos.Result, prefixLen int, resumed bool, skipped int64, err error) {
+//
+// Every run builds Result.Cover. With record off the run is
+// coverage-only: no trace, no prefix copy and no snapshots, which is all
+// a fuzz mutant needs unless it is promoted.
+func (en *Engine) runConcrete(in target.Input, plan *replayPlan, record bool) (m *gos.Machine, res *gos.Result, prefixLen int, resumed bool, skipped int64, err error) {
 	ckptOn := en.caps.Checkpoint == CheckpointAuto
 	cfg := in.Config()
-	cfg.Record = true
+	cfg.Record = record
+	cfg.Cover = true
+	cfg.CoverLeaders = en.leaders
 	cfg.MaxSteps = en.caps.StepBudget
 	cfg.WatchAddrs = []uint64{en.target}
-	if ckptOn {
+	if ckptOn && record {
 		cfg.SnapshotEvery = snapshotCadence(en.caps.StepBudget)
 	}
 	if ckptOn && plan != nil {
 		if ck := plan.best(in); ck != nil {
-			rm, rerr := ck.snap.Resume(cfg, plan.trace.PrefixCopy(ck.snap.TraceLen))
+			var prefix *trace.Trace
+			if record {
+				prefix = plan.trace.PrefixCopy(ck.snap.TraceLen)
+			}
+			rm, rerr := ck.snap.Resume(cfg, prefix)
 			if rerr == nil && in.Argv1 != ck.base.Argv1 {
 				rerr = rm.PatchArgv(1, in.Argv1, len(ck.base.Argv1))
 			}

@@ -36,32 +36,100 @@ type Edge struct {
 
 // Set is one run's coverage view. It is built single-threaded (one run,
 // one builder) and read-only afterwards, so it carries no lock.
+//
+// The guest VM feeds it one executed edge per instruction, so the edge
+// set is a flat open-addressed table (linear probing, at most half
+// full) rather than a map: a lookup of a seen edge, the common case in
+// a loop, is one hash and usually one probe.
 type Set struct {
-	edges  map[Edge]struct{}
-	blocks map[uint64]struct{}
+	slots    []Edge // len is a power of two; the zero Edge marks a free slot
+	nEdges   int
+	zeroEdge bool // the set holds Edge{}, which cannot live in slots
+	blocks   map[uint64]struct{}
 }
+
+// minSlots is a fresh set's table size: a fuzz mutant's run covers a few
+// hundred edges, and the table doubles from here.
+const minSlots = 256
 
 // NewSet returns an empty per-run coverage set.
 func NewSet() *Set {
 	return &Set{
-		edges:  make(map[Edge]struct{}),
+		slots:  make([]Edge, minSlots),
 		blocks: make(map[uint64]struct{}),
 	}
 }
 
-// AddEdge records one executed edge.
-func (s *Set) AddEdge(e Edge) { s.edges[e] = struct{}{} }
+func edgeHash(e Edge) uint64 { return mix(e.From*0x9e3779b97f4a7c15 ^ e.To) }
+
+// slot returns the index of e's slot in the table, or of the free slot
+// where e belongs. e must not be the zero Edge.
+func (s *Set) slot(e Edge) uint64 {
+	mask := uint64(len(s.slots) - 1)
+	i := edgeHash(e) & mask
+	for s.slots[i] != e && s.slots[i] != (Edge{}) {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// AddEdge records one executed edge and reports whether the set did not
+// hold it yet.
+func (s *Set) AddEdge(e Edge) bool {
+	if e == (Edge{}) {
+		added := !s.zeroEdge
+		s.zeroEdge = true
+		return added
+	}
+	i := s.slot(e)
+	if s.slots[i] == e {
+		return false
+	}
+	s.slots[i] = e
+	s.nEdges++
+	if 2*s.nEdges > len(s.slots) {
+		// Double the table and reinsert every edge.
+		old := s.slots
+		s.slots = make([]Edge, 2*len(old))
+		for _, o := range old {
+			if o != (Edge{}) {
+				s.slots[s.slot(o)] = o
+			}
+		}
+	}
+	return true
+}
+
+// eachEdge calls f for every edge in the set.
+func (s *Set) eachEdge(f func(Edge)) {
+	if s.zeroEdge {
+		f(Edge{})
+	}
+	for _, e := range s.slots {
+		if e != (Edge{}) {
+			f(e)
+		}
+	}
+}
 
 // AddBlock records one executed block leader.
 func (s *Set) AddBlock(pc uint64) { s.blocks[pc] = struct{}{} }
 
 // Len reports the set's distinct edge and block counts.
-func (s *Set) Len() (edges, blocks int) { return len(s.edges), len(s.blocks) }
+func (s *Set) Len() (edges, blocks int) {
+	edges = s.nEdges
+	if s.zeroEdge {
+		edges++
+	}
+	return edges, len(s.blocks)
+}
 
 // HasEdge reports whether the set saw the edge.
 func (s *Set) HasEdge(e Edge) bool {
-	_, ok := s.edges[e]
-	return ok
+	if e == (Edge{}) {
+		return s.zeroEdge
+	}
+	return s.slots[s.slot(e)] == e
 }
 
 // FromTrace folds one recorded trace into a coverage set. Edges pair
@@ -130,9 +198,7 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-func edgeShard(e Edge) uint64 {
-	return mix(e.From*0x9e3779b97f4a7c15^e.To) & (shardCount - 1)
-}
+func edgeShard(e Edge) uint64 { return edgeHash(e) & (shardCount - 1) }
 
 func blockShard(pc uint64) uint64 { return mix(pc) & (shardCount - 1) }
 
@@ -143,7 +209,7 @@ func (t *Tracker) Merge(s *Set) (newEdges, newBlocks int) {
 	if s == nil {
 		return 0, 0
 	}
-	for e := range s.edges {
+	s.eachEdge(func(e Edge) {
 		sh := &t.shards[edgeShard(e)]
 		sh.mu.Lock()
 		if _, ok := sh.edges[e]; !ok {
@@ -151,7 +217,7 @@ func (t *Tracker) Merge(s *Set) (newEdges, newBlocks int) {
 			newEdges++
 		}
 		sh.mu.Unlock()
-	}
+	})
 	for pc := range s.blocks {
 		sh := &t.shards[blockShard(pc)]
 		sh.mu.Lock()

@@ -26,8 +26,8 @@ func TestFromTraceEdgesPerFlow(t *testing.T) {
 	s := FromTrace(tr, nil)
 	want := []Edge{
 		{0x100, 0x104}, {0x104, 0x108}, // pid 1 tid 0
-		{0x200, 0x204},                 // pid 1 tid 1
-		{0x100, 0x104},                 // pid 2 tid 0 (same pair, one set entry)
+		{0x200, 0x204}, // pid 1 tid 1
+		{0x100, 0x104}, // pid 2 tid 0 (same pair, one set entry)
 	}
 	for _, e := range want {
 		if !s.HasEdge(e) {
@@ -53,6 +53,35 @@ func TestFromTraceLeaderFilter(t *testing.T) {
 	s := FromTrace(tr, map[uint64]bool{0x104: true})
 	if _, blocks := s.Len(); blocks != 1 {
 		t.Errorf("blocks = %d, want 1 (leader filter)", blocks)
+	}
+}
+
+// TestSetAddEdge drives the open-addressed edge table past several
+// doublings, with the zero edge (which has no slot) among the keys, and
+// checks it against a map.
+func TestSetAddEdge(t *testing.T) {
+	s := NewSet()
+	ref := make(map[Edge]bool)
+	for i := 0; i < 5000; i++ {
+		e := Edge{From: uint64(i % 700), To: uint64(i*7919) % 1013}
+		if got, want := s.AddEdge(e), !ref[e]; got != want {
+			t.Fatalf("AddEdge(%v) = %v, want %v", e, got, want)
+		}
+		ref[e] = true
+	}
+	if edges, _ := s.Len(); edges != len(ref) {
+		t.Fatalf("Len edges = %d, want %d", edges, len(ref))
+	}
+	for e := range ref {
+		if !s.HasEdge(e) {
+			t.Fatalf("HasEdge(%v) = false after AddEdge", e)
+		}
+	}
+	if s.HasEdge(Edge{From: 5000, To: 1}) {
+		t.Error("HasEdge reports an edge never added")
+	}
+	if e, _ := NewTracker().Merge(s); e != len(ref) {
+		t.Errorf("Merge found %d new edges, want %d", e, len(ref))
 	}
 }
 

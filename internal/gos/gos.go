@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/bin"
+	"repro/internal/cover"
 	"repro/internal/mem"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -45,6 +46,16 @@ type Config struct {
 	Quantum int
 	// Record enables full trace recording.
 	Record bool
+	// Cover builds Result.Cover as the run executes: the edges between
+	// consecutive PCs of each thread and the executed blocks, the same
+	// set cover.FromTrace folds from a recorded trace. With Record off
+	// this is the AFL-style coverage-only mode fuzz mutants run in: no
+	// per-instruction trace is kept. A resumed run's set holds only what
+	// it executed after the snapshot, boundary edges included.
+	Cover bool
+	// CoverLeaders restricts Result.Cover's blocks to these PCs, as
+	// cover.FromTrace's leaders do (nil: every executed PC).
+	CoverLeaders map[uint64]bool
 	// WatchAddrs lists instruction addresses whose execution should be
 	// reported in Result.Watched (the directed-search target check).
 	WatchAddrs []uint64
@@ -88,7 +99,15 @@ type Result struct {
 	Steps      int
 	Watched    map[uint64]bool
 	Trace      *trace.Trace // nil unless Config.Record
+	Cover      *cover.Set   // nil unless Config.Cover
 	Argv       []Region
+
+	// Faulted reports that some executed instruction raised an exception
+	// and Web that one was a web_get system call: what a recorded trace
+	// would show as an entry with Exc set, or with Sys.Num SysWebGet.
+	// Both include a resumed run's snapshotted prefix.
+	Faulted bool
+	Web     bool
 }
 
 // Hit reports whether the watched address was reached.
@@ -114,6 +133,9 @@ type Machine struct {
 	stdinOff int
 
 	tr      *trace.Trace
+	cov     *cover.Set // nil unless cfg.Cover
+	faulted bool       // some recorded entry has an Exc
+	web     bool       // some recorded entry is a web_get syscall
 	watched map[uint64]bool
 	steps   int
 
@@ -158,6 +180,13 @@ type thread struct {
 	cpu   *vm.CPU
 	dead  bool
 	block blockState
+
+	// lastPC is the PC of the thread's most recently recorded entry
+	// (valid once ran is set): the source of its next coverage edge. A
+	// thread is one (PID, TID) flow of cover.FromTrace — fork starts the
+	// child on a new thread with a fresh TID.
+	lastPC uint64
+	ran    bool
 
 	joinWaiters []*thread
 }
@@ -234,6 +263,9 @@ func New(img *bin.Image, cfg Config) (*Machine, error) {
 	}
 	if cfg.Record {
 		m.tr = &trace.Trace{}
+	}
+	if cfg.Cover {
+		m.cov = cover.NewSet()
 	}
 	for _, a := range cfg.WatchAddrs {
 		m.watched[a] = false
@@ -332,7 +364,10 @@ func (m *Machine) Run() *Result {
 		Steps:      m.steps,
 		Watched:    m.watched,
 		Trace:      m.tr,
+		Cover:      m.cov,
 		Argv:       m.argv,
+		Faulted:    m.faulted,
+		Web:        m.web,
 	}
 	return res
 }
@@ -394,12 +429,12 @@ func (m *Machine) runSlice(t *thread) {
 		switch kind {
 		case vm.StepNormal:
 			if t.cpu.PC == vm.ExitThreadPC {
-				m.record(e)
+				m.record(t, &e)
 				m.exitThread(t)
 				continue
 			}
 		case vm.StepHalt:
-			m.record(e)
+			m.record(t, &e)
 			m.exitProc(t.proc, 0)
 			continue
 		case vm.StepSyscall:
@@ -409,7 +444,7 @@ func (m *Machine) runSlice(t *thread) {
 		case vm.StepFault:
 			m.fault(t, &e)
 		}
-		m.record(e)
+		m.record(t, &e)
 	}
 	m.sliceN = 0
 	m.cur = (m.cur + 1) % maxInt(len(m.threads), 1)
@@ -422,10 +457,26 @@ func maxInt(a, b int) int {
 	return b
 }
 
-func (m *Machine) record(e trace.Entry) {
+// record accounts one executed entry of thread t: appended to the trace
+// when recording, folded into the coverage set when covering, and into
+// the run's fault and web flags always. A block is looked up only when
+// its edge is new to the set (or starts the flow): an edge seen before
+// already brought its target block in.
+func (m *Machine) record(t *thread, e *trace.Entry) {
 	if m.tr != nil {
-		m.tr.Append(e)
+		m.tr.Append(*e)
 	}
+	if e.Exc != nil {
+		m.faulted = true
+	}
+	if e.Sys != nil && e.Sys.Num == trace.SysWebGet {
+		m.web = true
+	}
+	if m.cov != nil && (!t.ran || m.cov.AddEdge(cover.Edge{From: t.lastPC, To: e.PC})) &&
+		(m.cfg.CoverLeaders == nil || m.cfg.CoverLeaders[e.PC]) {
+		m.cov.AddBlock(e.PC)
+	}
+	t.lastPC, t.ran = e.PC, true
 }
 
 func (m *Machine) stop(r StopReason, status int) {

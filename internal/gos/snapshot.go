@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/cover"
 	"repro/internal/mem"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -20,6 +21,10 @@ const maxSnapshots = 96
 // pipes, the filesystem, the kv store, stdout, the stdin cursor and the
 // scheduler position — plus the step count and trace length at capture,
 // so a resumed machine continues exactly where the snapshotted one was.
+// It also carries what the prefix contributes to a run's coverage view:
+// each thread's last PC (the source of the edge that crosses the resume
+// point) and the Result.Faulted/Web flags, so a resumed run reports them
+// for the whole run without a copy of the prefix's trace.
 //
 // Snapshots are immutable once taken: Resume clones the memory handles
 // and copies the OS tables, so one snapshot can seed any number of
@@ -45,6 +50,8 @@ type Snapshot struct {
 	stdinOff int
 	stdout   []byte
 	kv       map[string][]byte
+	faulted  bool
+	web      bool
 
 	files   []snapFile
 	fsPaths map[string]int // fs path -> files index (aliasing preserved)
@@ -96,6 +103,8 @@ type snapThread struct {
 	dead        bool
 	block       blockState
 	joinWaiters []int // by tid
+	lastPC      uint64
+	ran         bool
 }
 
 // Early-snapshot tuning. Exploration rounds mutate small parts of the
@@ -253,13 +262,15 @@ func (m *Machine) takeSnapshot() *Snapshot {
 		prog:      m.prog,
 		sliceLeft: m.cfg.Quantum - m.sliceN,
 		cur:       m.cur,
-		nextPID:  m.nextPID,
-		nextTID:  m.nextTID,
-		nextPipe: m.nextPipe,
-		stdinOff: m.stdinOff,
-		stdout:   append([]byte(nil), m.stdout.Bytes()...),
-		kv:       make(map[string][]byte, len(m.kv)),
-		fsPaths:  make(map[string]int, len(m.fs.files)),
+		nextPID:   m.nextPID,
+		nextTID:   m.nextTID,
+		nextPipe:  m.nextPipe,
+		stdinOff:  m.stdinOff,
+		stdout:    append([]byte(nil), m.stdout.Bytes()...),
+		kv:        make(map[string][]byte, len(m.kv)),
+		faulted:   m.faulted,
+		web:       m.web,
+		fsPaths:   make(map[string]int, len(m.fs.files)),
 	}
 	for k, v := range m.kv {
 		s.kv[k] = append([]byte(nil), v...)
@@ -342,6 +353,7 @@ func (m *Machine) takeSnapshot() *Snapshot {
 	for _, t := range m.threads {
 		st := snapThread{
 			tid: t.tid, pid: t.proc.pid, dead: t.dead, block: t.block,
+			lastPC: t.lastPC, ran: t.ran,
 			st: &vm.State{
 				CPU:      *t.cpu,
 				Mem:      procMem[t.proc.pid], // proc-shared snapshot handle
@@ -369,9 +381,12 @@ func (m *Machine) takeSnapshot() *Snapshot {
 
 // Resume materialises a runnable Machine from the snapshot. The machine
 // runs under cfg — whose input facets (TimeNow, Pid, WebContent) may
-// differ from the snapshotted run's — and appends to tr, which the
-// caller must have pre-filled with the first Snapshot.TraceLen entries
-// of the snapshotted run's trace (copied, with taint marks cleared).
+// differ from the snapshotted run's — and, when cfg.Record is set,
+// appends to tr, which the caller must have pre-filled with the first
+// Snapshot.TraceLen entries of the snapshotted run's trace (copied, with
+// taint marks cleared); without Record, tr must be nil. Under cfg.Cover
+// the run's set starts empty: it covers only what runs after the
+// snapshot.
 // The caller is responsible for having verified, via its divergence
 // analysis, that no instruction before the snapshot point observed any
 // state that differs under cfg; PatchArgv rewrites differing argument
@@ -390,6 +405,9 @@ func (s *Snapshot) Resume(cfg Config, tr *trace.Trace) (*Machine, error) {
 	}
 	if cfg.Pid == 0 {
 		cfg.Pid = 4242
+	}
+	if cfg.Record != (tr != nil) {
+		return nil, fmt.Errorf("gos: resume takes a trace prefix exactly when recording (Record %v, prefix %v)", cfg.Record, tr != nil)
 	}
 	if tr != nil && tr.Len() != s.TraceLen {
 		return nil, fmt.Errorf("gos: resume trace has %d entries, snapshot taken at %d", tr.Len(), s.TraceLen)
@@ -410,6 +428,11 @@ func (s *Snapshot) Resume(cfg Config, tr *trace.Trace) (*Machine, error) {
 		lastSnap: s.Steps,
 		cur:      s.cur,
 		tr:       tr,
+		faulted:  s.faulted,
+		web:      s.web,
+	}
+	if cfg.Cover {
+		m.cov = cover.NewSet()
 	}
 	if s.sliceLeft > 0 && s.sliceLeft < cfg.Quantum {
 		// Mid-slice snapshot: finish the interrupted slice on the
@@ -460,7 +483,8 @@ func (s *Snapshot) Resume(cfg Config, tr *trace.Trace) (*Machine, error) {
 	for _, st := range s.threads {
 		p := m.procs[st.pid]
 		cpu, _ := st.st.Restore() // memory comes from the proc table above
-		t := &thread{tid: st.tid, proc: p, cpu: cpu, dead: st.dead, block: st.block}
+		t := &thread{tid: st.tid, proc: p, cpu: cpu, dead: st.dead, block: st.block,
+			lastPC: st.lastPC, ran: st.ran}
 		byTID[st.tid] = t
 		m.threads = append(m.threads, t)
 	}

@@ -284,6 +284,38 @@ _start:
 	}
 }
 
+// TestResumeTraceMatchesRecord: a recording resume needs the prefix to
+// append to, and a coverage-only one must not be handed one.
+func TestResumeTraceMatchesRecord(t *testing.T) {
+	res, snaps := runWithSnaps(t, `
+_start:
+    mov r3, 200
+.burn:
+    sub r3, 1
+    cmp r3, 0
+    jne .burn
+    halt
+`, Config{})
+	if len(snaps) == 0 {
+		t.Fatal("no snapshots")
+	}
+	s := snaps[len(snaps)-1]
+	if _, err := s.Resume(Config{Record: true}, nil); err == nil {
+		t.Error("recording resume without a trace prefix succeeded")
+	}
+	if _, err := s.Resume(Config{Cover: true}, res.Trace.PrefixCopy(s.TraceLen)); err == nil {
+		t.Error("coverage-only resume with a trace prefix succeeded")
+	}
+	m, err := s.Resume(Config{Cover: true}, nil)
+	if err != nil {
+		t.Fatalf("coverage-only resume: %v", err)
+	}
+	if got := m.Run(); got.Trace != nil || got.Cover == nil || got.Steps != res.Steps {
+		t.Errorf("coverage-only resume: trace %v, cover %v, steps %d (want %d)",
+			got.Trace != nil, got.Cover != nil, got.Steps, res.Steps)
+	}
+}
+
 func TestPatchArgvErrors(t *testing.T) {
 	m, err := New(build(t, "_start:\n halt\n"), Config{Argv: []string{"p", "x"}})
 	if err != nil {
