@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -83,4 +84,54 @@ func units(lits []Lit) [][]Lit {
 		out[i] = []Lit{l}
 	}
 	return out
+}
+
+// FuzzResetEquivalence solves a random CNF A, Resets the solver, solves
+// a random CNF B on it and compares the result with a new solver's on B:
+// verdict, every counter, final conflict and model must be identical.
+// Each CNF is 3-SAT near its threshold over up to 100 variables, drawn
+// from a seed, and is solved under a few random assumptions.
+func FuzzResetEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(40), int64(2), uint8(60))
+	f.Add(int64(7), uint8(90), int64(3), uint8(10))
+	f.Add(int64(-5), uint8(0), int64(11), uint8(99))
+	f.Fuzz(func(t *testing.T, seedA int64, sizeA uint8, seedB int64, sizeB uint8) {
+		nVars := 1 + int(sizeB)%100
+		reused := New()
+		solveRandom(reused, seedA, 1+int(sizeA)%100)
+		reused.Reset()
+		stReused := solveRandom(reused, seedB, nVars)
+		fresh := New()
+		stFresh := solveRandom(fresh, seedB, nVars)
+		if stReused != stFresh || reused.Stats() != fresh.Stats() {
+			t.Fatalf("after Reset: %v %+v, new solver: %v %+v", stReused, reused.Stats(), stFresh, fresh.Stats())
+		}
+		if !slices.Equal(reused.FinalConflict(), fresh.FinalConflict()) {
+			t.Fatalf("final conflict after Reset %v, new solver %v", reused.FinalConflict(), fresh.FinalConflict())
+		}
+		for v := 0; v < nVars; v++ {
+			if reused.Value(v) != fresh.Value(v) {
+				t.Fatalf("model differs at variable %d", v)
+			}
+		}
+	})
+}
+
+// solveRandom loads a 3-SAT instance over nVars variables near its
+// threshold, drawn from seed, into s and solves it under up to three
+// assumptions, leaving learned clauses, activities, phases and a model
+// or a final conflict behind.
+func solveRandom(s *Solver, seed int64, nVars int) Status {
+	rng := rand.New(rand.NewSource(seed))
+	for v := 0; v < nVars; v++ {
+		s.NewVar()
+	}
+	for _, cl := range randomCNF(rng, nVars, nVars*(38+rng.Intn(10))/10, 3) {
+		s.AddClause(cl...)
+	}
+	assumptions := make([]Lit, rng.Intn(4))
+	for i := range assumptions {
+		assumptions[i] = MkLit(rng.Intn(nVars), rng.Intn(2) == 0)
+	}
+	return s.SolveAssuming(assumptions, 20_000, time.Time{}, nil)
 }

@@ -151,6 +151,44 @@ func New() *Solver {
 	return s
 }
 
+// Reset returns the solver to the state New gives: no variables, no
+// clauses, zeroed counters and increments at 1. Every buffer keeps its
+// capacity, and so does each watch list, so a solver reused for a run of
+// unrelated instances stops allocating once it has held the largest. A
+// search after Reset is bit-identical to one on a new solver: nothing
+// the search reads depends on a buffer's capacity, only on its contents,
+// and every slot is rewritten before it is read.
+func (s *Solver) Reset() {
+	*s = Solver{
+		arena:     s.arena[:0],
+		headers:   s.headers[:0],
+		freeCrefs: s.freeCrefs[:0],
+		clauses:   s.clauses[:0],
+		learned:   s.learned[:0],
+		watches:   s.watches[:0],
+		watchPool: s.watchPool,
+		vals:      s.vals[:0],
+		level:     s.level[:0],
+		reason:    s.reason[:0],
+		trail:     s.trail[:0],
+		trailLim:  s.trailLim[:0],
+		activity:  s.activity[:0],
+		varInc:    1,
+		order:     s.order,
+		polarity:  s.polarity[:0],
+		clauseInc: 1,
+		stamp:     s.stamp[:0],
+		seen:      s.seen[:0],
+		learnt:    s.learnt[:0],
+		addBuf:    s.addBuf[:0],
+		ok:        true,
+		model:     s.model[:0],
+		finalConf: s.finalConf[:0],
+	}
+	s.order.heap = s.order.heap[:0]
+	s.order.indices = s.order.indices[:0]
+}
+
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.level)
@@ -159,7 +197,15 @@ func (s *Solver) NewVar() int {
 	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, false)
-	s.watches = append(s.watches, nil, nil)
+	// Within capacity the two slots may hold lists a Reset left behind:
+	// emptied, they keep their room instead of taking new watchPool slots.
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		s.watches = s.watches[:n+2]
+		s.watches[n] = s.watches[n][:0]
+		s.watches[n+1] = s.watches[n+1][:0]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.stamp = append(s.stamp, 0, 0)
 	s.seen = append(s.seen, false)
 	s.order.push(v)

@@ -22,7 +22,30 @@ const trajectoryHash = 0x78b88c879f4e49f7
 // configurations, learn hooks and import batches; the random draws for
 // those are still made, so the instances and the hash are the ones
 // pinned before those were removed.
+//
+// The corpus runs twice: once on a new solver per instance, and once on
+// a single solver that, before each instance, solves an unrelated one
+// and is Reset. Both must give the pinned hash, which is what lets the
+// fresh solver mode reuse solvers without moving any search.
 func TestSearchTrajectoryPinned(t *testing.T) {
+	t.Run("new", func(t *testing.T) {
+		checkTrajectory(t, func(int64) *Solver { return New() })
+	})
+	t.Run("reset", func(t *testing.T) {
+		s := New()
+		checkTrajectory(t, func(seed int64) *Solver {
+			// Smaller or larger than the corpus instance, so the Reset
+			// leaves buffers both short of and beyond what it needs.
+			solveRandom(s, -seed, 20+int(seed*53%280))
+			s.Reset()
+			return s
+		})
+	})
+}
+
+// checkTrajectory runs the corpus, taking each instance's solver from
+// solverFor, and compares the hash with trajectoryHash.
+func checkTrajectory(t *testing.T, solverFor func(seed int64) *Solver) {
 	const instances = 300
 	h := fnv.New64a()
 	var buf [8]byte
@@ -33,7 +56,7 @@ func TestSearchTrajectoryPinned(t *testing.T) {
 	var deleted int64
 	for seed := int64(1); seed <= instances; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		s := New()
+		s := solverFor(seed)
 		// Draws that once chose a solver configuration and a learn
 		// hook; the corpus below depends on them being made.
 		if rng.Intn(3) == 0 {

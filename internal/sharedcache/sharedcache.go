@@ -80,7 +80,8 @@ func Open(dir string) (*Tier, error) {
 }
 
 // refreshLocked scans log lines appended since the last scan into the
-// in-memory map. The first entry seen for a key wins.
+// in-memory map. The first entry seen for a key wins unless a later one
+// supersedes it.
 func (t *Tier) refreshLocked() error {
 	t.stats.Refreshes++
 	off, err := t.log.Scan(t.offset, func(line []byte) {
@@ -88,7 +89,7 @@ func (t *Tier) refreshLocked() error {
 		if json.Unmarshal(line, &e) != nil || e.Key == "" {
 			return
 		}
-		if _, ok := t.entries[e.Key]; !ok {
+		if old, ok := t.entries[e.Key]; !ok || supersedes(e, old) {
 			t.entries[e.Key] = e
 		}
 	})
@@ -128,15 +129,15 @@ func (t *Tier) Lookup(key string) (Entry, bool) {
 
 // Store persists a query verdict. An entry already visible under the
 // same key is kept (verdicts are pure functions of the key, so any copy
-// serves); the append is a single write so concurrent replicas never
-// interleave partial lines.
+// serves) unless e supersedes it; the append is a single write so
+// concurrent replicas never interleave partial lines.
 func (t *Tier) Store(e Entry) {
 	if e.Key == "" {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.entries[e.Key]; ok {
+	if old, ok := t.entries[e.Key]; ok && !supersedes(e, old) {
 		return
 	}
 	if t.log.Append(e) != nil {
@@ -144,6 +145,15 @@ func (t *Tier) Store(e Entry) {
 	}
 	t.entries[e.Key] = e
 	t.stats.Stores++
+}
+
+// supersedes reports whether e replaces old under the same key: an
+// entry with an exact key replaces one with neither an exact key nor a
+// model. Such an entry is a non-sat verdict written before exact keys
+// were stored; the solver layer no longer serves it, so without the
+// replacement its query would miss the tier for good.
+func supersedes(e, old Entry) bool {
+	return e.Exact != "" && old.Exact == "" && old.Model == nil
 }
 
 // Stats returns the tier's traffic counters.

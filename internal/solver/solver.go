@@ -18,6 +18,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/bitblast"
@@ -170,6 +171,12 @@ func solveFloat(ctx context.Context, constraints []sym.Expr, opts Options) Resul
 	return fpSearch(ctx, constraints, opts)
 }
 
+// satPool holds SAT solvers between fresh queries. A solver goes back
+// Reset, keeping the buffers earlier queries grew, so a query allocates
+// only where it outgrows them. Reset makes the reuse invisible to the
+// search (DESIGN.md §9).
+var satPool = sync.Pool{New: func() any { return sat.New() }}
+
 // solveBV decides a float-free system by bit-blasting. The returned model
 // is raw — straight from the SAT assignment, before seed completion and
 // minimization — so its value depends only on the constraint slice and
@@ -188,7 +195,11 @@ func solveBV(ctx context.Context, constraints []sym.Expr, opts Options) (st Stat
 	expired := func() bool {
 		return ctx.Err() != nil || (!deadline.IsZero() && time.Now().After(deadline))
 	}
-	s := sat.New()
+	s := satPool.Get().(*sat.Solver)
+	defer func() {
+		s.Reset()
+		satPool.Put(s)
+	}()
 	enc := bitblast.New(s)
 	for _, c := range constraints {
 		if expired() {

@@ -2,11 +2,7 @@ package solver
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/sym"
 )
@@ -148,72 +144,4 @@ func BenchmarkStressIncremental(b *testing.B) {
 		solved, _ = runStressIncremental(b, suite)
 	}
 	b.ReportMetric(float64(solved), "solved")
-}
-
-// bench6 is the trajectory entry emitted by TestBench6Emit.
-type bench6 struct {
-	GOMAXPROCS int `json:"gomaxprocs"`
-
-	RoundFreshQPS       float64 `json:"round_fresh_qps"`
-	RoundIncrementalQPS float64 `json:"round_incremental_qps"`
-
-	StressInstances          int     `json:"stress_instances"`
-	StressIncrementalSolved  int     `json:"stress_incremental_solved"`
-	StressIncrementalSeconds float64 `json:"stress_incremental_seconds"`
-}
-
-// TestBench6Emit measures the PR's trajectory numbers and writes them to
-// the file named by BENCH6_OUT. Gated on the environment variable so
-// ordinary test runs never touch the working tree (make bench sets it).
-func TestBench6Emit(t *testing.T) {
-	out := os.Getenv("BENCH6_OUT")
-	if out == "" {
-		t.Skip("BENCH6_OUT not set")
-	}
-	var b6 bench6
-	b6.GOMAXPROCS = runtime.GOMAXPROCS(0)
-
-	// Round benchmark: one engine round (6 negation queries over a
-	// shared prefix), fresh vs incremental.
-	cs := benchChain(benchRoundQueries)
-	opts := Options{MaxConflicts: 1_000_000}
-	const rounds = 3
-	start := time.Now()
-	for r := 0; r < rounds; r++ {
-		for j, c := range cs {
-			system := append(append([]sym.Expr{}, cs[:j]...), sym.NewBoolNot(c))
-			if _, err := SolveContext(context.Background(), system, opts); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	b6.RoundFreshQPS = rounds * benchRoundQueries / time.Since(start).Seconds()
-
-	start = time.Now()
-	for r := 0; r < rounds; r++ {
-		sess := NewSession(context.Background(), SessionOptions{Options: opts})
-		for _, c := range cs {
-			if _, err := sess.Check(sym.NewBoolNot(c)); err != nil {
-				t.Fatal(err)
-			}
-			sess.Assert(c)
-		}
-	}
-	b6.RoundIncrementalQPS = rounds * benchRoundQueries / time.Since(start).Seconds()
-
-	// Stress suite: solved-under-budget coverage and wall time.
-	suite := stressSuite()
-	b6.StressInstances = len(suite)
-	start = time.Now()
-	b6.StressIncrementalSolved, _ = runStressIncremental(t, suite)
-	b6.StressIncrementalSeconds = time.Since(start).Seconds()
-
-	data, err := json.MarshalIndent(b6, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_6 -> %s\n%s", out, data)
 }
