@@ -6,13 +6,13 @@ GOFMT ?= gofmt
 # ci is the gate: static checks, build, the concurrency-sensitive
 # packages under the race detector, short fuzz smokes on the solver
 # cache key, the interning equivalence property, the COW memory
-# (clone/write vs a deep-copy reference model), the SAT core under
-# assumptions (vs brute-force enumeration), a Reset SAT solver (vs a
-# new one), the incremental/fresh solver equivalence, the append-only
-# journal (crashed log plus single- and two-handle appends against a
-# line-split reference model), the job-journal replay (against an
-# in-memory reference model) and the symbolic-store weak-update image
-# (against a concrete-memory reference model), then the full suite.
+# (clone/write vs a deep-copy reference model), the SAT core with unit
+# clauses added between solves (vs brute-force enumeration), a Reset SAT
+# solver (vs a new one), the append-only journal (crashed log plus
+# single- and two-handle appends against a line-split reference model),
+# the job-journal replay (against an in-memory reference model) and the
+# symbolic-store weak-update image (against a concrete-memory reference
+# model), then the full suite.
 ci: vet build race fuzz test
 
 # vet fails on any Go file gofmt would rewrite, bench/ and dot
@@ -38,9 +38,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalKey -fuzztime=5s ./internal/sym/
 	$(GO) test -run '^$$' -fuzz FuzzInternEval -fuzztime=5s ./internal/sym/
 	$(GO) test -run '^$$' -fuzz FuzzMemoryCOW -fuzztime=5s ./internal/mem/
-	$(GO) test -run '^$$' -fuzz FuzzSolveAssumingBruteForce -fuzztime=5s ./internal/sat/
+	$(GO) test -run '^$$' -fuzz FuzzSolveBruteForce -fuzztime=5s ./internal/sat/
 	$(GO) test -run '^$$' -fuzz FuzzResetEquivalence -fuzztime=5s ./internal/sat/
-	$(GO) test -run '^$$' -fuzz FuzzIncrementalEquivalence -fuzztime=5s ./internal/solver/
 	$(GO) test -run '^$$' -fuzz FuzzMutateDeterminism -fuzztime=5s ./internal/mutate/
 	$(GO) test -run '^$$' -fuzz FuzzJournal -fuzztime=5s ./internal/journal/
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime=5s ./internal/jobstore/
@@ -59,8 +58,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMemClone|BenchmarkMemCloneWriteFault' ./internal/mem/...
 	$(GO) test -run '^$$' -bench 'BenchmarkInputKey' ./internal/core/...
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheSolveHit|BenchmarkSolveUncached|BenchmarkCanonicalKey' ./internal/solver/...
-	$(GO) test -run '^$$' -bench 'BenchmarkRoundFresh|BenchmarkRoundIncremental' -benchtime 3x ./internal/solver/
-	$(GO) test -run '^$$' -bench 'BenchmarkStressIncremental' -benchtime 1x ./internal/solver/
+	$(GO) test -run '^$$' -bench 'BenchmarkRoundFresh' -benchtime 3x ./internal/solver/
 	$(GO) test -run '^$$' -bench 'BenchmarkCanonicalKeyInterned|BenchmarkCanonicalKeyStable|BenchmarkInternConstruct' ./internal/sym/
 	$(GO) test -run '^$$' -bench 'BenchmarkBitblastSharedDAG' -benchtime 3x ./internal/bitblast/
 

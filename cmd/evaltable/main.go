@@ -49,7 +49,6 @@ func main() {
 				run = eval.RunTableIIExtendedFleet
 			}
 			g, err := run(eval.FleetOptions{
-				EngineWorkers: 0, SolverMode: res.SolverMode,
 				Strategy: res.Strategy, Fuzz: res.Fuzz, CoverGoal: res.CoverGoal,
 			}, endpoints)
 			if err != nil {
@@ -59,7 +58,7 @@ func main() {
 			return g
 		}
 		eopts := eval.Options{
-			Workers: res.Workers, Checkpoint: res.Checkpoint, SolverMode: res.SolverMode,
+			Workers: res.Workers, Checkpoint: res.Checkpoint,
 			Strategy: res.Strategy, Fuzz: res.Fuzz, CoverGoal: res.CoverGoal,
 		}
 		if *extended {

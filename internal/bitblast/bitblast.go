@@ -38,7 +38,6 @@ type Encoder struct {
 	cache    map[sym.Expr][]sat.Lit
 	tru      sat.Lit
 	gates    int
-	guards   int
 	overflow bool
 }
 
@@ -96,35 +95,6 @@ func (e *Encoder) Assert(c sym.Expr) error {
 	e.s.AddClause(bits[0])
 	return nil
 }
-
-// AssertGuarded encodes a width-1 expression once and asserts it behind
-// a fresh guard literal g, adding only the implication g -> c. Passing g
-// as an assumption to sat.SolveAssuming activates the constraint for
-// that call; asserting ~g afterwards retires it permanently, leaving the
-// encoded circuit (and the structural gate cache) in place for later
-// queries over shared subterms. Guard variables are bookkeeping, not
-// circuitry, so they are not charged against the gate budget.
-func (e *Encoder) AssertGuarded(c sym.Expr) (sat.Lit, error) {
-	if c.Width() != 1 {
-		return 0, fmt.Errorf("bitblast: guarded assert of width-%d expression", c.Width())
-	}
-	c = sym.Intern(c)
-	bits, err := e.encode(c)
-	if err != nil {
-		return 0, err
-	}
-	if e.overflow {
-		return 0, ErrBudget
-	}
-	g := sat.MkLit(e.s.NewVar(), false)
-	e.guards++
-	e.s.AddClause(g.Not(), bits[0])
-	return g, nil
-}
-
-// Guards returns the number of guard literals allocated by
-// AssertGuarded.
-func (e *Encoder) Guards() int { return e.guards }
 
 // Model reads back variable values after a Sat verdict.
 func (e *Encoder) Model() map[string]uint64 {

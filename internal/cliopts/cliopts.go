@@ -22,7 +22,6 @@ import (
 type Options struct {
 	Workers    int
 	Checkpoint string // "auto" | "off" ("" = auto)
-	Solver     string // core.SolverModeNames ("" = fresh)
 	Strategy   string // core.SearchStrategyNames ("" = profile default)
 	Fuzz       bool
 	CoverGoal  float64
@@ -38,10 +37,6 @@ func Register(fs *flag.FlagSet) *Options {
 	fs.StringVar(&o.Checkpoint, "checkpoint", "auto",
 		"snapshot-replay policy: auto (resume rounds from checkpoints) or off "+
 			"(re-execute every round from _start; identical outcomes)")
-	fs.StringVar(&o.Solver, "solver", "fresh",
-		"negation-query solving: "+strings.Join(core.SolverModeNames(), ", ")+
-			" (incremental reuses one SAT instance per round; "+
-			"equivalent verdicts, possibly different inputs)")
 	fs.StringVar(&o.Strategy, "strategy", "",
 		"frontier search order: "+strings.Join(core.SearchStrategyNames(), ", ")+
 			" (coverage scores candidates by uncovered flip targets; "+
@@ -67,7 +62,7 @@ func FlagDialect(n string) string { return "-" + n }
 func WireDialect(n string) string { return strings.ReplaceAll(n, "-", "_") }
 
 // Check enforces the cross-field rules shared by every frontend. Name
-// parses are checked first so an unknown solver mode surfaces as the
+// parses are checked first so an unknown search strategy surfaces as the
 // uniform suggestion error rather than a confusing combination error.
 func Check(o Options, d Dialect) error {
 	if o.Workers < 0 {
@@ -77,9 +72,6 @@ func Check(o Options, d Dialect) error {
 	case "", "auto", "off":
 	default:
 		return suggest.Unknown("checkpoint policy", o.Checkpoint, []string{"auto", "off"})
-	}
-	if _, err := core.ParseSolverMode(o.Solver); err != nil {
-		return err
 	}
 	strat, err := core.ParseSearchStrategy(o.Strategy)
 	if err != nil {
@@ -98,7 +90,6 @@ func Check(o Options, d Dialect) error {
 type Resolved struct {
 	Workers     int
 	Checkpoint  core.CheckpointPolicy
-	SolverMode  core.SolverMode
 	Strategy    core.SearchStrategy
 	StrategySet bool // explicit -strategy; false keeps the profile default
 	Fuzz        bool
@@ -116,7 +107,6 @@ func (o Options) Resolve(d Dialect) (*Resolved, error) {
 	} else {
 		r.Checkpoint = core.CheckpointAuto
 	}
-	r.SolverMode, _ = core.ParseSolverMode(o.Solver) // Check vetted it
 	if o.Strategy != "" {
 		r.Strategy, _ = core.ParseSearchStrategy(o.Strategy)
 		r.StrategySet = true
@@ -130,7 +120,6 @@ func (o Options) Resolve(d Dialect) (*Resolved, error) {
 func (r *Resolved) Apply(caps *core.Capabilities) {
 	caps.Workers = r.Workers
 	caps.Checkpoint = r.Checkpoint
-	caps.SolverMode = r.SolverMode
 	if r.StrategySet {
 		caps.Search = r.Strategy
 	}

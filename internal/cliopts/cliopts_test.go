@@ -2,6 +2,7 @@ package cliopts
 
 import (
 	"flag"
+	"io"
 	"strings"
 	"testing"
 
@@ -24,9 +25,15 @@ func TestResolveDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	if res.Checkpoint != core.CheckpointAuto || res.SolverMode != core.SolverFresh ||
-		res.StrategySet || res.Fuzz || res.CoverGoal != 0 {
+	if res.Checkpoint != core.CheckpointAuto || res.StrategySet || res.Fuzz || res.CoverGoal != 0 {
 		t.Errorf("unexpected defaults: %+v", res)
+	}
+	// The engine has one solver mode, so the cluster has no -solver flag.
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	Register(fs)
+	if err := fs.Parse([]string{"-solver", "fresh"}); err == nil || !strings.Contains(err.Error(), "-solver") {
+		t.Errorf("-solver parsed: %v", err)
 	}
 }
 
@@ -38,12 +45,12 @@ func TestApplyKeepsProfileDefaults(t *testing.T) {
 		t.Fatal("no reference profile")
 	}
 	wantSearch := p.Caps.Search
-	res, err := parse(t, "-workers", "2", "-solver", "incremental").Resolve(FlagDialect)
+	res, err := parse(t, "-workers", "2").Resolve(FlagDialect)
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
 	res.Apply(&p.Caps)
-	if p.Caps.Workers != 2 || p.Caps.SolverMode != core.SolverIncremental {
+	if p.Caps.Workers != 2 {
 		t.Errorf("explicit fields not applied: %+v", p.Caps)
 	}
 	if p.Caps.Search != wantSearch {
@@ -69,7 +76,6 @@ func TestCheckCrossFieldRules(t *testing.T) {
 		{"defaults", Options{}, ""},
 		{"negative workers", Options{Workers: -1}, "-workers must be non-negative"},
 		{"bad checkpoint", Options{Checkpoint: "of"}, `unknown checkpoint policy "of"`},
-		{"bad solver", Options{Solver: "fersh"}, `unknown solver mode "fersh"`},
 		{"bad strategy", Options{Strategy: "coverge"}, `unknown search strategy "coverge"`},
 		{"fuzz without coverage", Options{Fuzz: true}, "-fuzz requires -strategy=coverage"},
 		{"fuzz ok", Options{Fuzz: true, Strategy: "coverage"}, ""},

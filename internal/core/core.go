@@ -74,10 +74,6 @@ type Capabilities struct {
 	// the image's static basic blocks has been covered
 	// (VerdictCoverGoal, paper outcome E: the analysis was cut short).
 	CoverGoal float64
-	// CoverGoalEdges stops exploration once that many distinct edges are
-	// covered — the programmatic form of CoverGoal, used by benchmarks to
-	// measure queries-to-goal against a reference run's final coverage.
-	CoverGoalEdges int
 
 	// MaxRounds bounds concrete executions; MaxCandidates bounds queued
 	// inputs. StepBudget bounds each concrete run.
@@ -112,18 +108,6 @@ type Capabilities struct {
 	// (instructions executed, pages copied) changes.
 	Checkpoint CheckpointPolicy
 
-	// SolverMode selects how a round's negation queries are solved.
-	// SolverFresh (the zero value) builds a fresh SAT instance per query
-	// and keeps the engine's strongest guarantee: outcomes identical at
-	// every worker count. SolverIncremental opens one solver.Session per
-	// round and fires the round's queries incrementally on a persistent
-	// instance — verdicts per query are equivalent, and runs are
-	// deterministic at a fixed worker count, but models (and therefore
-	// generated inputs) may differ from fresh mode and across worker
-	// counts, because the incremental search reuses state whose content
-	// depends on which duplicate queries a batch happened to perform.
-	SolverMode SolverMode
-
 	// SharedCache, when non-nil, backs the engine's solver query cache
 	// with a persistent tier shared across replicas (see
 	// solver.Cache.SetShared): LRU misses consult it before solving, and
@@ -154,45 +138,6 @@ type Progress struct {
 	CoveredBlocks int `json:"covered_blocks"`
 	// Frontier is the number of pending candidates after the round.
 	Frontier int `json:"frontier"`
-}
-
-// SolverMode selects the negation-query solving strategy.
-type SolverMode int
-
-// Solver modes.
-const (
-	// SolverFresh builds a fresh SAT instance for every query.
-	SolverFresh SolverMode = iota
-	// SolverIncremental solves each round's queries on one persistent
-	// assumption-based session (see solver.Session).
-	SolverIncremental
-)
-
-func (m SolverMode) String() string {
-	switch m {
-	case SolverFresh:
-		return "fresh"
-	case SolverIncremental:
-		return "incremental"
-	}
-	return "invalid"
-}
-
-// SolverModeNames lists the accepted -solver flag values in menu order.
-func SolverModeNames() []string {
-	return []string{"fresh", "incremental"}
-}
-
-// ParseSolverMode maps a -solver flag value to its mode. Unknown names
-// get the uniform suggestion error (valid names plus closest match).
-func ParseSolverMode(name string) (SolverMode, error) {
-	switch name {
-	case "", "fresh":
-		return SolverFresh, nil
-	case "incremental":
-		return SolverIncremental, nil
-	}
-	return 0, suggest.Unknown("solver mode", name, SolverModeNames())
 }
 
 // ResolvedWorkers returns the worker count Explore will actually use:
@@ -596,19 +541,6 @@ func (en *Engine) finishStats(start time.Time) {
 	en.stats.CoveredEdges = en.cov.Edges()
 	en.stats.CoveredBlocks = en.cov.Blocks()
 	en.out.Stats = en.stats
-}
-
-// sessionCache returns the engine's query cache for incremental
-// sessions to consult, or nil when rounds run in parallel: a session's
-// raw models depend on its solve history, so sharing them across
-// concurrently scheduled rounds would make results depend on goroutine
-// timing. Sequential engines populate the cache in a fixed order, which
-// keeps incremental runs deterministic and repeatable.
-func (en *Engine) sessionCache() *solver.Cache {
-	if en.workers == 1 {
-		return en.cache
-	}
-	return nil
 }
 
 func min(a, b int) int {

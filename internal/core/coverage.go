@@ -217,11 +217,9 @@ func (en *Engine) breed() bool {
 	return false
 }
 
-// coverGoalReached checks the early-stop goals (never set by default).
+// coverGoalReached checks the early-stop block goal (never set by
+// default).
 func (en *Engine) coverGoalReached() bool {
-	if en.caps.CoverGoalEdges > 0 && en.cov.Edges() >= en.caps.CoverGoalEdges {
-		return true
-	}
 	return en.goalBlocks > 0 && en.cov.Blocks() >= en.goalBlocks
 }
 

@@ -15,8 +15,9 @@ import (
 // fuzz mutant is executed (recorded trace or coverage-only, fresh or
 // resumed) must never move it: the mutation stream, the promotions, the
 // detonations and every counter are functions of what the runs cover. It
-// may only change together with a deliberate change to the search.
-const coverageFuzzHash = 0x2c9acaf3ee01705f
+// may only change together with a deliberate change to the search, or
+// with the counter schema, whose JSON it hashes.
+const coverageFuzzHash = 0x33b26a03cd12b918
 
 // TestCoverageFuzzOutcomePinned runs every non-stress bomb as
 // `concolic -tool angr-nolib -strategy coverage -fuzz -workers 1` does

@@ -11,10 +11,9 @@ import (
 
 // BenchmarkExploreParallel measures end-to-end exploration of a
 // multi-round bomb at several worker counts. jump under the reference
-// DFS profile runs to its 12-round cap with a sustained frontier, so the
-// batch scheduler has real work to overlap; the win at workers>1 comes
-// from batched frontier scheduling and the solver cache absorbing
-// sibling-round duplicates (and from CPU parallelism where cores allow).
+// DFS profile runs to its 12-round cap with a sustained frontier. DFS
+// runs one round per batch, so every worker count explores the same
+// schedule and the benchmark measures what the worker pool costs.
 func BenchmarkExploreParallel(b *testing.B) {
 	bomb, ok := bombs.ByName("jump")
 	if !ok {

@@ -5,6 +5,7 @@ package core_test
 // package core).
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,29 +25,54 @@ func exploreWith(b *bombs.Bomb, p tools.Profile, workers int) *core.Outcome {
 
 // TestExploreDeterministicAcrossWorkers asserts the paper-facing verdict
 // is independent of the worker count: every Table II bomb, under every
-// Table II tool profile, must land on the same Verdict with Workers=1
-// (the historical sequential loop) and Workers=8. FastBudgets keeps the
-// grid tractable; budget-direction outcomes are unaffected.
+// Table II tool profile and the reference profile, must land on the same
+// Verdict and solving input with Workers=1 (the historical sequential
+// loop) and Workers=8. The reference profile searches depth-first, one
+// round per batch, so it also runs at Workers=2 and its round count must
+// match too, unless the task wall-clock budget cut a run short.
+// FastBudgets keeps the grid tractable; budget-direction outcomes are
+// unaffected. Its wall-clock budgets make a cell sensitive to machine
+// load, so the reference cells run one at a time, before the Table II
+// cells run in parallel, and add no load to them.
 func TestExploreDeterministicAcrossWorkers(t *testing.T) {
-	for _, p := range tools.TableII() {
+	for _, p := range append(tools.TableII(), tools.Reference()) {
 		p := tools.FastBudgets(p)
+		dfs := p.Caps.Search == core.SearchDFS
+		counts := []int{8}
+		if dfs {
+			counts = []int{2, 8}
+		}
 		for _, b := range bombs.TableII() {
 			b := b
 			t.Run(p.Name()+"/"+b.Name, func(t *testing.T) {
-				t.Parallel()
-				seq := exploreWith(b, p, 1)
-				par := exploreWith(b, p, 8)
-				if seq.Verdict != par.Verdict {
-					t.Errorf("workers=1 verdict %v, workers=8 verdict %v",
-						seq.Verdict, par.Verdict)
+				if !dfs {
+					t.Parallel()
 				}
-				if seq.Verdict == core.VerdictSolved && par.Input.Argv1 != seq.Input.Argv1 {
-					t.Errorf("solving inputs diverge: %q vs %q",
-						seq.Input.Argv1, par.Input.Argv1)
+				seq := exploreWith(b, p, 1)
+				for _, workers := range counts {
+					par := exploreWith(b, p, workers)
+					if seq.Verdict != par.Verdict {
+						t.Errorf("workers=1 verdict %v, workers=%d verdict %v",
+							seq.Verdict, workers, par.Verdict)
+					}
+					if seq.Verdict == core.VerdictSolved && par.Input.Argv1 != seq.Input.Argv1 {
+						t.Errorf("workers=%d: solving inputs diverge: %q vs %q",
+							workers, seq.Input.Argv1, par.Input.Argv1)
+					}
+					if dfs && seq.Rounds != par.Rounds && !wallClockCut(seq) && !wallClockCut(par) {
+						t.Errorf("workers=1 ran %d rounds, workers=%d ran %d",
+							seq.Rounds, workers, par.Rounds)
+					}
 				}
 			})
 		}
 	}
+}
+
+// wallClockCut reports whether a wall-clock budget ended the run, which
+// leaves its round count to machine load.
+func wallClockCut(o *core.Outcome) bool {
+	return o.Verdict == core.VerdictBudget && strings.HasPrefix(o.CrashDetail, "analysis timeout")
 }
 
 // TestExploreRepeatableAtFixedWorkerCount asserts a fixed worker count

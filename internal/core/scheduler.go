@@ -16,9 +16,10 @@ import (
 
 // The parallel scheduler runs exploration rounds in synchronous batches.
 // Each batch pops up to Workers candidates from the frontier in the
-// search strategy's order, runs every round on its own goroutine against
-// a frozen view of the dedup maps, and then replays the rounds' recorded
-// effects strictly in dispatch order on the single-threaded engine state.
+// search strategy's order (one under depth-first search), runs every
+// round on its own goroutine against a frozen view of the dedup maps,
+// and then replays the rounds' recorded effects strictly in dispatch
+// order on the single-threaded engine state.
 //
 // Replay order is what keeps verdicts deterministic: a terminal round
 // (solved or crashed) cuts off every later-dispatched round of its batch,
@@ -71,8 +72,8 @@ type event struct {
 type roundRec struct {
 	idx    int // 1-based round number, assigned at dispatch
 	events []event
-	// stats is the round's counter delta (solver queries, checkpoint and
-	// session work), folded into the engine's at merge.
+	// stats is the round's counter delta (solver queries and checkpoint
+	// work), folded into the engine's at merge.
 	stats Stats
 
 	// Coverage payload: the run's per-trace coverage set plus the input
@@ -85,20 +86,17 @@ type roundRec struct {
 
 func (r *roundRec) emit(ev event) { r.events = append(r.events, ev) }
 
-// addSession records a closed incremental session's work.
-func (r *roundRec) addSession(st solver.SessionStats) {
-	r.stats.IncrementalChecks += st.IncrementalChecks
-	r.stats.LearnedClausesRetained += st.LearnedRetained
-	r.stats.GuardLiterals += st.GuardLiterals
-}
-
 // popBatch removes up to n candidates from the frontier in strategy
 // order. Under SearchCoverage it pops from the scored generation view
 // only — never from the buffer of pending pushes — so a batch cannot
 // cross a generation boundary (the determinism barrier; see
-// coverage.go).
+// coverage.go). Under SearchDFS it pops the deepest candidate alone: the
+// next round must descend into what this one pushes, so popping the k
+// deepest at once would make the schedule depend on the worker count.
+// The caller guarantees n > 0 and a non-empty frontier.
 func (en *Engine) popBatch(n int) []candidate {
-	if en.caps.Search == SearchCoverage {
+	switch en.caps.Search {
+	case SearchCoverage:
 		if v := en.viewLen(); n > v {
 			n = v
 		}
@@ -109,21 +107,18 @@ func (en *Engine) popBatch(n int) []candidate {
 			en.view, en.viewHead = nil, 0
 		}
 		return batch
+	case SearchDFS:
+		last := len(en.queue) - 1
+		c := en.queue[last]
+		en.queue = en.queue[:last]
+		return []candidate{c}
 	}
 	if f := en.frontierLen(); n > f {
 		n = f
 	}
-	batch := make([]candidate, 0, n)
-	for i := 0; i < n; i++ {
-		if en.caps.Search == SearchDFS {
-			last := len(en.queue) - 1
-			batch = append(batch, en.queue[last])
-			en.queue = en.queue[:last]
-		} else {
-			batch = append(batch, en.queue[en.head])
-			en.head++
-		}
-	}
+	batch := make([]candidate, n)
+	copy(batch, en.queue[en.head:en.head+n])
+	en.head += n
 	en.compact()
 	return batch
 }
@@ -421,12 +416,6 @@ func (en *Engine) runConcrete(in target.Input, plan *replayPlan, record bool) (m
 // (generational search) and records the resulting inputs. childPlan, when
 // non-nil, rides along on every pushed candidate so the child round can
 // resume from this round's snapshots.
-//
-// Under SolverIncremental the round opens one solver.Session and fires
-// every query on it: constraint i's negation is checked against the
-// session's prefix c_0..c_{i-1}, then c_i joins the prefix — including
-// assume-kind and already-seen constraints, which are never queried but
-// are part of every later query's path condition.
 func (en *Engine) negate(rec *roundRec, cur target.Input, sr *symexec.Result, tr *trace.Trace, childPlan *replayPlan) {
 	// Forward occurrence numbering keeps flip keys stable across rounds
 	// (the n-th execution of a loop branch keeps its identity as traces
@@ -437,25 +426,12 @@ func (en *Engine) negate(rec *roundRec, cur target.Input, sr *symexec.Result, tr
 		occ[i] = occurrence[sr.Constraints[i].PC]
 		occurrence[sr.Constraints[i].PC]++
 	}
-	var sess *solver.Session
 	queryOpts := solver.Options{
 		MaxConflicts: en.caps.SolverConflicts,
 		FP:           en.caps.FP,
 		FPIterations: en.caps.FPIterations,
 		Timeout:      en.caps.SolverTimeout,
 		Seed:         sr.Seed,
-	}
-	if en.caps.SolverMode == SolverIncremental && len(sr.Constraints) > 0 {
-		sess = solver.NewSession(en.ctx, solver.SessionOptions{
-			Options: queryOpts,
-			// The shared query cache is deterministic for incremental
-			// entries only when a single goroutine populates it in a
-			// fixed order; parallel batches leave sessions self-contained
-			// so outcomes stay repeatable at a fixed worker count.
-			Cache: en.sessionCache(),
-		})
-		rec.stats.SolverSessions++
-		defer func() { rec.addSession(sess.Stats()) }()
 	}
 	n := len(sr.Constraints)
 	order := make([]int, n)
@@ -474,20 +450,16 @@ func (en *Engine) negate(rec *roundRec, cur target.Input, sr *symexec.Result, tr
 			flipEdges[i] = en.flipEdgeFor(sr.Constraints[i], tr)
 			uncovered[i] = flipEdges[i] != (cover.Edge{}) && !en.cov.HasEdge(flipEdges[i])
 		}
-		if sess == nil {
-			// Issue queries for still-uncovered targets first. Fresh
-			// solving only: each query independently builds its whole
-			// system and seeds by constraint index, so its result is
-			// issue-order-independent; persistent sessions keep their
-			// prefix discipline and natural order. Recorded events are
-			// grouped per constraint and flattened in ascending index
-			// below, so the replayed schedule — and every determinism
-			// guarantee — is unchanged; what moves is which negations get
-			// solver time before the budget runs out.
-			sort.SliceStable(order, func(x, y int) bool {
-				return uncovered[order[x]] && !uncovered[order[y]]
-			})
-		}
+		// Issue queries for still-uncovered targets first. Each query
+		// builds its whole system and seeds by constraint index, so its
+		// result is issue-order-independent. Recorded events are grouped
+		// per constraint and flattened in ascending index below, so the
+		// replayed schedule — and every determinism guarantee — is
+		// unchanged; what moves is which negations get solver time
+		// before the budget runs out.
+		sort.SliceStable(order, func(x, y int) bool {
+			return uncovered[order[x]] && !uncovered[order[y]]
+		})
 	}
 	// Events group per constraint and flatten in ascending constraint
 	// order (the historical emission order), whatever order the queries
@@ -502,12 +474,6 @@ func (en *Engine) negate(rec *roundRec, cur target.Input, sr *symexec.Result, tr
 	for oi := 0; oi < n; oi++ {
 		i := order[oi]
 		emit := func(ev event) { groups[i] = append(groups[i], ev) }
-		if sess != nil && oi > 0 {
-			// The previous constraint joins the session prefix whether or
-			// not it was queried: every later query's path condition
-			// includes it. (Sessions always run in natural order.)
-			sess.Assert(sr.Constraints[order[oi-1]].Expr)
-		}
 		if en.ctx.Err() != nil {
 			// Cancellation is not budget exhaustion: stop recording and
 			// let the scheduler's context check decide the verdict.
@@ -531,20 +497,14 @@ func (en *Engine) negate(rec *roundRec, cur target.Input, sr *symexec.Result, tr
 		}
 
 		rec.stats.SolverQueries++
-		var resu solver.Result
-		var err error
-		if sess != nil {
-			resu, err = sess.CheckSeeded(sym.NewBoolNot(pc.Expr), int64(rec.idx*1000+i))
-		} else {
-			system := make([]sym.Expr, 0, i+1)
-			for j := 0; j < i; j++ {
-				system = append(system, sr.Constraints[j].Expr)
-			}
-			system = append(system, sym.NewBoolNot(pc.Expr))
-			opts := queryOpts
-			opts.RandSeed = int64(rec.idx*1000 + i)
-			resu, err = en.cache.SolveContext(en.ctx, system, opts)
+		system := make([]sym.Expr, 0, i+1)
+		for j := 0; j < i; j++ {
+			system = append(system, sr.Constraints[j].Expr)
 		}
+		system = append(system, sym.NewBoolNot(pc.Expr))
+		opts := queryOpts
+		opts.RandSeed = int64(rec.idx*1000 + i)
+		resu, err := en.cache.SolveContext(en.ctx, system, opts)
 		if err != nil {
 			continue
 		}

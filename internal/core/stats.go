@@ -44,12 +44,6 @@ type Stats struct {
 	PagesCOWFaulted         uint64 `json:"pages_cow_faulted" merge:"sum" prom:"concolicd_checkpoint_cow_faults_total" help:"Guest memory pages copied on write (snapshot plus fork sharing)."`
 	PrefixConstraintsReused int    `json:"prefix_constraints_reused" merge:"sum" prom:"concolicd_checkpoint_prefix_constraints_total" help:"Path constraints derived from replayed trace prefixes."`
 
-	// Incremental sessions (DESIGN.md §13); zero under SolverFresh.
-	SolverSessions         int   `json:"solver_sessions" merge:"sum" prom:"concolicd_solver_incremental_sessions_total" help:"Per-round incremental solver sessions opened."`
-	IncrementalChecks      int   `json:"incremental_checks" merge:"sum" prom:"concolicd_solver_incremental_checks_total" help:"Negation queries decided on a persistent session instance."`
-	LearnedClausesRetained int64 `json:"learned_retained" merge:"sum" prom:"concolicd_solver_incremental_learned_retained_total" help:"Learned clauses carried into follow-up incremental checks."`
-	GuardLiterals          int   `json:"guard_literals" merge:"sum" prom:"concolicd_solver_incremental_guard_literals_total" help:"Guard literals allocated to activate and retire negated constraints."`
-
 	// Shared solver-cache tier (DESIGN.md §16); zero without
 	// Capabilities.SharedCache.
 	SharedCacheHits   uint64 `json:"sharedcache_hits" merge:"sum" prom:"concolicd_sharedcache_hits_total" help:"Local cache misses answered by the shared cache tier."`

@@ -172,11 +172,6 @@ type Options struct {
 	// and therefore the aggregate checkpoint stats in the JSON output —
 	// changes.
 	Checkpoint core.CheckpointPolicy
-	// SolverMode is applied to every profile (zero value:
-	// core.SolverFresh). Incremental solving keeps verdict labels (the
-	// incremental differential grid test asserts it) but may generate
-	// different satisfying inputs and work profiles.
-	SolverMode core.SolverMode
 	// EngineWorkers, when > 0, overrides each profile's per-engine
 	// worker count (Capabilities.Workers); the grid-level Workers knob
 	// above is independent of it.
@@ -199,7 +194,6 @@ type Options struct {
 func applyOptions(profiles []tools.Profile, opts Options) {
 	for i := range profiles {
 		profiles[i].Caps.Checkpoint = opts.Checkpoint
-		profiles[i].Caps.SolverMode = opts.SolverMode
 		if opts.EngineWorkers > 0 {
 			profiles[i].Caps.Workers = opts.EngineWorkers
 		}

@@ -68,9 +68,9 @@ func TestGridExtendedDeterministic(t *testing.T) {
 }
 
 // TestGridExtendedDifferential replays the extended grid under the
-// coverage-guided search with the hybrid fuzz stage, the incremental
-// solver and the checkpointing scheduler — the full optimisation stack —
-// against the plain generational baseline, and requires every cell to
+// coverage-guided search with the hybrid fuzz stage and the
+// checkpointing scheduler — the full optimisation stack — against the
+// plain generational baseline, and requires every cell to
 // stay identical or strictly strengthen, exactly as the Table II
 // coverage differential does.
 func TestGridExtendedDifferential(t *testing.T) {
@@ -84,7 +84,6 @@ func TestGridExtendedDifferential(t *testing.T) {
 
 	stacked := withSearch(fast, core.SearchCoverage, true)
 	for i := range stacked {
-		stacked[i].Caps.SolverMode = core.SolverIncremental
 		stacked[i].Caps.Checkpoint = core.CheckpointAuto
 	}
 	cov := runGrid(stacked, rows, 0, false)

@@ -31,7 +31,6 @@ type fleetRequest struct {
 	Bomb      string  `json:"bomb"`
 	Tool      string  `json:"tool"`
 	Workers   int     `json:"workers,omitempty"`
-	Solver    string  `json:"solver,omitempty"`
 	Strategy  string  `json:"strategy,omitempty"`
 	Fuzz      bool    `json:"fuzz,omitempty"`
 	CoverGoal float64 `json:"cover_goal,omitempty"`
@@ -67,10 +66,9 @@ var fleetHTTP = &http.Client{Timeout: 10 * time.Second}
 // subset of Options applies: checkpoint policy is replica-side
 // configuration, not a per-request knob.
 type FleetOptions struct {
-	// EngineWorkers, SolverMode, Strategy, Fuzz, CoverGoal mirror the
-	// same Options fields and ride on each submitted job.
+	// EngineWorkers, Strategy, Fuzz, CoverGoal mirror the same Options
+	// fields and ride on each submitted job.
 	EngineWorkers int
-	SolverMode    core.SolverMode
 	Strategy      core.SearchStrategy
 	Fuzz          bool
 	CoverGoal     float64
@@ -138,9 +136,6 @@ func runFleetGrid(profiles []tools.Profile, wireNames []string, rows []*bombs.Bo
 				Workers:   opts.EngineWorkers,
 				Fuzz:      opts.Fuzz,
 				CoverGoal: opts.CoverGoal,
-			}
-			if opts.SolverMode != 0 {
-				req.Solver = opts.SolverMode.String()
 			}
 			if opts.Strategy != 0 {
 				req.Strategy = opts.Strategy.String()

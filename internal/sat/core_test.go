@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"testing"
-	"time"
 )
 
 // TestStampWrap forces the clause-intake stamp counter through its wrap
@@ -38,8 +37,9 @@ func TestStampWrap(t *testing.T) {
 		}
 		// a, ~a|c and ~c|~b: b must be false.
 		s.AddClause(c.Not(), b.Not())
-		if st := s.SolveAssuming([]Lit{a}, 0, time.Time{}, nil); st != Sat || !s.Value(c.Var()) || s.Value(b.Var()) {
-			t.Errorf("gen %#x: solve under a = %v, c=%v b=%v; want sat, c true, b false",
+		s.AddClause(a)
+		if st := s.Solve(0); st != Sat || !s.Value(c.Var()) || s.Value(b.Var()) {
+			t.Errorf("gen %#x: solve with a = %v, c=%v b=%v; want sat, c true, b false",
 				gen, st, s.Value(c.Var()), s.Value(b.Var()))
 		}
 	}
@@ -55,7 +55,7 @@ func TestArenaCompaction(t *testing.T) {
 	var reductions, compactions int
 	prevDeleted, prevArena := int64(0), 0
 	for call := 0; call < 80 && (reductions < 3 || compactions < 1); call++ {
-		if st := s.SolveAssuming(nil, 1000, time.Time{}, nil); st != Unknown {
+		if st := s.Solve(1000); st != Unknown {
 			t.Fatalf("call %d: %v, want unknown", call, st)
 		}
 		if d := s.Stats().Deleted; d > prevDeleted {

@@ -138,10 +138,6 @@ type Solver struct {
 	// instance stays usable for further AddClause/Solve calls; Value
 	// reads the snapshot, not the live trail.
 	model []lbool
-
-	// finalConf is the subset of the last SolveAssuming call's
-	// assumptions responsible for an assumption-level Unsat.
-	finalConf []Lit
 }
 
 // New returns an empty solver.
@@ -183,7 +179,6 @@ func (s *Solver) Reset() {
 		addBuf:    s.addBuf[:0],
 		ok:        true,
 		model:     s.model[:0],
-		finalConf: s.finalConf[:0],
 	}
 	s.order.heap = s.order.heap[:0]
 	s.order.indices = s.order.indices[:0]
@@ -621,22 +616,12 @@ func (s *Solver) SolveDeadline(maxConflicts int64, deadline time.Time) Status {
 // When interrupted returns true the search gives up with Unknown, which
 // is how a cancelled analysis context stops a long-running query without
 // waiting for its conflict or wall-clock budget. A nil probe means none.
+//
+// Learned clauses, variable activities and saved phases are retained for
+// the next call. Search state is unwound to level 0 before returning, so
+// clauses may be added between calls; on Sat the assignment is
+// snapshotted first and served by Value.
 func (s *Solver) SolveInterruptible(maxConflicts int64, deadline time.Time, interrupted func() bool) Status {
-	return s.SolveAssuming(nil, maxConflicts, deadline, interrupted)
-}
-
-// SolveAssuming searches for a model under the given assumption
-// literals, MiniSat-style: each pending assumption is enqueued as the
-// decision of its own level before any free decision is made. On Unsat
-// caused by the assumptions (rather than the base formula) the solver
-// records the responsible subset — see FinalConflict — and remains
-// usable: learned clauses, variable activities and saved phases are
-// retained for the next call, which is what makes repeated calls on a
-// persistent instance incremental. Search state is unwound to level 0
-// before returning, so clauses may be added between calls; on Sat the
-// assignment is snapshotted first and served by Value.
-func (s *Solver) SolveAssuming(assumptions []Lit, maxConflicts int64, deadline time.Time, interrupted func() bool) Status {
-	s.finalConf = s.finalConf[:0]
 	if !s.ok {
 		return Unsat
 	}
@@ -656,7 +641,7 @@ func (s *Solver) SolveAssuming(assumptions []Lit, maxConflicts int64, deadline t
 		}
 		restart++
 		s.restarts++
-		switch st := s.search(100*luby(restart), limit, assumptions); st {
+		switch st := s.search(100*luby(restart), limit); st {
 		case Sat:
 			s.saveModel()
 			s.backtrack(0)
@@ -671,14 +656,7 @@ func (s *Solver) SolveAssuming(assumptions []Lit, maxConflicts int64, deadline t
 	return Unknown
 }
 
-// FinalConflict returns the subset of the last SolveAssuming call's
-// assumptions that jointly made the formula unsatisfiable. It is empty
-// when the last verdict was not Unsat, or when the base formula itself
-// is unsatisfiable independent of any assumption. The returned slice is
-// valid until the next Solve* call.
-func (s *Solver) FinalConflict() []Lit { return s.finalConf }
-
-func (s *Solver) search(budget, limit int64, assumptions []Lit) Status {
+func (s *Solver) search(budget, limit int64) Status {
 	local := int64(0)
 	for {
 		conflict := s.propagate()
@@ -707,24 +685,6 @@ func (s *Solver) search(budget, limit int64, assumptions []Lit) Status {
 			continue
 		}
 		s.reduceLearned()
-		if s.decisionLevel() < len(assumptions) {
-			// Extend the trail with the next pending assumption before
-			// any free decision.
-			p := assumptions[s.decisionLevel()]
-			switch s.vals[p] {
-			case lTrue:
-				// Already satisfied: open a dummy level so decision
-				// level k always covers assumptions [0, k).
-				s.newDecisionLevel()
-			case lFalse:
-				s.analyzeFinal(p)
-				return Unsat
-			default:
-				s.newDecisionLevel()
-				s.enqueue(p, crefUndef)
-			}
-			continue
-		}
 		v := s.pickBranchVar()
 		if v < 0 {
 			return Sat
@@ -732,39 +692,6 @@ func (s *Solver) search(budget, limit int64, assumptions []Lit) Status {
 		s.newDecisionLevel()
 		s.enqueue(MkLit(v, !s.polarity[v]), crefUndef)
 	}
-}
-
-// analyzeFinal computes the final conflict for the falsified assumption
-// p: p itself plus every assumption decision reachable from ~p in the
-// implication graph. The base formula stays satisfiable as far as the
-// solver knows, so ok is left untouched.
-func (s *Solver) analyzeFinal(p Lit) {
-	s.finalConf = append(s.finalConf[:0], p)
-	if s.decisionLevel() == 0 {
-		return
-	}
-	seen := s.seen
-	seen[p.Var()] = true
-	for i := len(s.trail) - 1; i >= s.trailLim[0]; i-- {
-		v := s.trail[i].Var()
-		if !seen[v] {
-			continue
-		}
-		if c := s.reason[v]; c == crefUndef {
-			if s.level[v] > 0 {
-				s.finalConf = append(s.finalConf, s.trail[i])
-			}
-		} else {
-			for _, q := range s.lits(c)[1:] {
-				if s.level[q.Var()] > 0 {
-					seen[q.Var()] = true
-				}
-			}
-		}
-		seen[v] = false
-	}
-	// p is false, but its variable may sit below trailLim[0].
-	seen[p.Var()] = false
 }
 
 // saveModel snapshots the current (total) assignment so Value stays

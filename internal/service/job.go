@@ -34,10 +34,11 @@ func (s State) Terminal() bool {
 }
 
 // Request is the analysis a client submits: which bomb, which tool
-// profile, how many engine workers, which solver mode ("" or "fresh"
-// for a SAT instance per query, "incremental" for per-round
-// assumption-based sessions), and an optional per-job wall-clock
-// budget that becomes the exploration context's deadline.
+// profile, how many engine workers, and an optional per-job wall-clock
+// budget that becomes the exploration context's deadline. Solver names
+// the solver mode; "" and "fresh", the engine's only mode, are accepted
+// and anything else is rejected, including journaled jobs that name a
+// removed mode.
 type Request struct {
 	// Bomb is the legacy target field: the name of a registered logic
 	// bomb. New clients should submit Target instead; Validate folds a
@@ -129,9 +130,11 @@ func (r *Request) Validate() error {
 		return fmt.Errorf("unknown tool %q (choose from %s)",
 			r.Tool, strings.Join(tools.Names(), ", "))
 	}
+	if r.Solver != "" && r.Solver != "fresh" {
+		return suggest.Unknown("solver mode", r.Solver, []string{"fresh"})
+	}
 	if err := cliopts.Check(cliopts.Options{
 		Workers:   r.Workers,
-		Solver:    r.Solver,
 		Strategy:  r.Strategy,
 		Fuzz:      r.Fuzz,
 		CoverGoal: r.CoverGoal,
@@ -142,11 +145,6 @@ func (r *Request) Validate() error {
 		return errors.New("budget_ms must be non-negative")
 	}
 	return nil
-}
-
-// solverMode maps the wire field to the engine capability.
-func (r *Request) solverMode() (core.SolverMode, error) {
-	return core.ParseSolverMode(r.Solver)
 }
 
 // searchStrategy maps the wire field to the engine capability.

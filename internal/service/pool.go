@@ -132,7 +132,6 @@ func (p *pool) prepare(req Request) (*bombs.Bomb, tools.Profile, error) {
 		return nil, tools.Profile{}, errors.New("request not resolvable on replica " + p.replica)
 	}
 	prof.Caps.Workers = req.Workers
-	prof.Caps.SolverMode, _ = req.solverMode() // Validate checked it
 	if req.Strategy != "" {
 		prof.Caps.Search, _ = req.searchStrategy() // Validate checked it
 	}

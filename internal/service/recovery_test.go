@@ -128,18 +128,24 @@ func TestRecoveryResumesInterruptedJobs(t *testing.T) {
 }
 
 // TestRecoveryRevalidatesQueuedJobs replays a journal holding queued
-// requests this replica does not accept — an unknown solver mode, and a
-// mode an older server accepted — next to a finished job of that older
-// mode. The queued jobs must fail with the same error a submission gets,
-// not run under defaults; the finished job keeps serving its result.
+// requests this replica does not accept — an unknown solver mode, and
+// two modes older servers accepted — next to finished jobs of those
+// older modes. The queued jobs must fail with the same error a
+// submission gets, not run under defaults; the finished jobs keep
+// serving their results, including one whose stats carry the counters
+// of the removed incremental mode.
 func TestRecoveryRevalidatesQueuedJobs(t *testing.T) {
 	dir := t.TempDir()
 	old := openJL(t, dir)
 	res, _ := json.Marshal(Result{Verdict: "solved", Label: "ok", Rounds: 4})
+	incRes := json.RawMessage(`{"verdict":"solved","label":"ok","rounds":5,"stats":{"rounds":5,"solver_queries":9,` +
+		`"solver_sessions":5,"incremental_checks":9,"learned_retained":31,"guard_literals":9}}`)
 	for _, rec := range []jobstore.Record{
 		{ID: "job-000001", Req: json.RawMessage(`{"bomb":"array1","tool":"reference","solver":"bogus"}`), State: string(StateQueued)},
 		{ID: "job-000002", Req: json.RawMessage(`{"bomb":"array1","tool":"reference","solver":"portfolio","warmstart":true}`), State: string(StateQueued)},
 		{ID: "job-000003", Req: json.RawMessage(`{"bomb":"array1","tool":"reference","solver":"portfolio"}`), State: string(StateDone), Result: res},
+		{ID: "job-000004", Req: json.RawMessage(`{"bomb":"array1","tool":"reference","solver":"incremental"}`), State: string(StateQueued)},
+		{ID: "job-000005", Req: json.RawMessage(`{"bomb":"array1","tool":"reference","solver":"incremental"}`), State: string(StateDone), Result: incRes},
 	} {
 		rec.Submitted = time.Now()
 		old.Put(rec)
@@ -159,14 +165,18 @@ func TestRecoveryRevalidatesQueuedJobs(t *testing.T) {
 		s.Drain(ctx)
 	})
 
-	for id, mode := range map[string]string{"job-000001": "bogus", "job-000002": "portfolio"} {
+	for id, mode := range map[string]string{"job-000001": "bogus", "job-000002": "portfolio", "job-000004": "incremental"} {
 		v := waitState(t, ts, id, StateFailed, 30*time.Second)
-		want := `unknown solver mode "` + mode + `" (valid: fresh, incremental)`
+		want := `unknown solver mode "` + mode + `" (valid: fresh)`
 		if !strings.Contains(v.Error, want) || v.Result != nil {
 			t.Errorf("%s: error %q, result %+v; want the error %q and no result", id, v.Error, v.Result, want)
 		}
 	}
 	if v := getJob(t, ts, "job-000003"); v.State != StateDone || v.Result == nil || v.Result.Rounds != 4 {
 		t.Errorf("finished job after recovery: %+v", v)
+	}
+	if v := getJob(t, ts, "job-000005"); v.State != StateDone || v.Result == nil || v.Result.Rounds != 5 ||
+		v.Result.Stats.Rounds != 5 || v.Result.Stats.SolverQueries != 9 {
+		t.Errorf("finished incremental job after recovery: %+v", v)
 	}
 }

@@ -348,10 +348,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		{"concolicd_checkpoint_instructions_skipped_total", "counter"},
 		{"concolicd_checkpoint_cow_faults_total", "counter"},
 		{"concolicd_checkpoint_prefix_constraints_total", "counter"},
-		{"concolicd_solver_incremental_sessions_total", "counter"},
-		{"concolicd_solver_incremental_checks_total", "counter"},
-		{"concolicd_solver_incremental_learned_retained_total", "counter"},
-		{"concolicd_solver_incremental_guard_literals_total", "counter"},
 		{"concolicd_sharedcache_hits_total", "counter"},
 		{"concolicd_sharedcache_misses_total", "counter"},
 		{"concolicd_sharedcache_stores_total", "counter"},

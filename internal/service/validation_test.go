@@ -35,7 +35,8 @@ func metricValue(t *testing.T, ts *httptest.Server, name string) float64 {
 }
 
 // TestSolverValidation pins the 400s for the solver field: an unknown
-// mode and a mode older servers accepted get the same suggestion error.
+// mode and the modes older servers accepted get the same suggestion
+// error, while "" and "fresh" stay valid.
 func TestSolverValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 
@@ -57,10 +58,16 @@ func TestSolverValidation(t *testing.T) {
 		return e.Error
 	}
 
-	for _, mode := range []string{"z3", "portfolio"} {
-		want := `unknown solver mode "` + mode + `" (valid: fresh, incremental)`
+	for _, mode := range []string{"z3", "portfolio", "incremental"} {
+		want := `unknown solver mode "` + mode + `" (valid: fresh)`
 		if msg := reject(Request{Bomb: "jump", Solver: mode}); !strings.Contains(msg, want) {
 			t.Errorf("solver %q: error %q, want %q", mode, msg, want)
+		}
+	}
+	for _, mode := range []string{"", "fresh"} {
+		req := Request{Bomb: "jump", Solver: mode}
+		if err := req.Validate(); err != nil {
+			t.Errorf("solver %q: %v", mode, err)
 		}
 	}
 }

@@ -103,11 +103,10 @@ func Solve(constraints []sym.Expr, opts Options) (Result, error) {
 }
 
 // SolveContext decides the conjunction of the given width-1
-// constraints. It is the canonical one-shot entry point (Session is
-// the stateful counterpart). A cancelled or deadline-expired context
-// makes the query give up with StatusUnknown mid-search instead of
-// running to its conflict or wall-clock budget; the context deadline
-// tightens (never loosens) opts.Timeout.
+// constraints. A cancelled or deadline-expired context makes the query
+// give up with StatusUnknown mid-search instead of running to its
+// conflict or wall-clock budget; the context deadline tightens (never
+// loosens) opts.Timeout.
 func SolveContext(ctx context.Context, constraints []sym.Expr, opts Options) (Result, error) {
 	if len(constraints) == 0 {
 		return Result{}, ErrNoConstraints

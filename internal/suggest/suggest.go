@@ -37,7 +37,7 @@ func Closest(name string, candidates []string) string {
 // rejected value, every valid name, and — when one is plausibly a typo —
 // the closest match.
 //
-//	unknown solver mode "fersh" (valid: fresh, incremental) — did you mean "fresh"?
+//	unknown search strategy "dsf" (valid: generational, dfs, coverage) — did you mean "dfs"?
 func Unknown(kind, name string, valid []string) error {
 	msg := fmt.Sprintf("unknown %s %q (valid: %s)", kind, name, strings.Join(valid, ", "))
 	if s := Closest(name, valid); s != "" {

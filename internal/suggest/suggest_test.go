@@ -25,13 +25,13 @@ func TestEditDistance(t *testing.T) {
 }
 
 func TestClosest(t *testing.T) {
-	names := []string{"fresh", "incremental"}
+	names := []string{"generational", "dfs", "coverage"}
 	cases := []struct {
 		query, want string
 	}{
-		{"fersh", "fresh"},
-		{"incremantal", "incremental"},
-		{"incremental", "incremental"},
+		{"dsf", "dfs"},
+		{"generationl", "generational"},
+		{"coverage", "coverage"},
 		{"z3", ""}, // nothing plausible
 		{"", ""},   // empty query never suggests
 	}
@@ -45,19 +45,19 @@ func TestClosest(t *testing.T) {
 // TestUnknownShape pins the uniform error dialect: kind, rejected name,
 // the full valid list, and a suggestion when one is plausible.
 func TestUnknownShape(t *testing.T) {
-	err := Unknown("solver mode", "fersh", []string{"fresh", "incremental"})
+	err := Unknown("search strategy", "dsf", []string{"generational", "dfs", "coverage"})
 	msg := err.Error()
 	for _, want := range []string{
-		`unknown solver mode "fersh"`,
-		"valid: fresh, incremental",
-		`did you mean "fresh"?`,
+		`unknown search strategy "dsf"`,
+		"valid: generational, dfs, coverage",
+		`did you mean "dfs"?`,
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("Unknown error %q missing %q", msg, want)
 		}
 	}
 	// No plausible match: the suggestion clause is omitted entirely.
-	msg = Unknown("solver mode", "z3", []string{"fresh", "incremental"}).Error()
+	msg = Unknown("search strategy", "z3", []string{"generational", "dfs", "coverage"}).Error()
 	if strings.Contains(msg, "did you mean") {
 		t.Errorf("Unknown error %q suggests for an implausible name", msg)
 	}
