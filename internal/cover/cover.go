@@ -22,6 +22,7 @@
 package cover
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -110,6 +111,29 @@ func (s *Set) eachEdge(f func(Edge)) {
 			f(e)
 		}
 	}
+}
+
+// Edges returns the set's edges sorted by (From, To).
+func (s *Set) Edges() []Edge {
+	out := make([]Edge, 0, s.nEdges+1)
+	s.eachEdge(func(e Edge) { out = append(out, e) })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].From != out[j].From {
+			return out[i].From < out[j].From
+		}
+		return out[i].To < out[j].To
+	})
+	return out
+}
+
+// Blocks returns the set's block leaders in ascending order.
+func (s *Set) Blocks() []uint64 {
+	out := make([]uint64, 0, len(s.blocks))
+	for pc := range s.blocks {
+		out = append(out, pc)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // AddBlock records one executed block leader.
