@@ -6,13 +6,14 @@ GOFMT ?= gofmt
 # ci is the gate: static checks, build, the concurrency-sensitive
 # packages under the race detector, short fuzz smokes on the solver
 # cache key, the interning equivalence property, the COW memory
-# (clone/write vs a deep-copy reference model), the SAT core with unit
-# clauses added between solves (vs brute-force enumeration), a Reset SAT
-# solver (vs a new one), the append-only journal (crashed log plus
-# single- and two-handle appends against a line-split reference model),
-# the job-journal replay (against an in-memory reference model) and the
-# symbolic-store weak-update image (against a concrete-memory reference
-# model), then the full suite.
+# (clone/write and page-straddling multi-byte access vs a deep-copy
+# reference model), the VM's dense decode table (vs a decode-walk
+# reference map), the SAT core with unit clauses added between solves
+# (vs brute-force enumeration), a Reset SAT solver (vs a new one), the
+# append-only journal (crashed log plus single- and two-handle appends
+# against a line-split reference model), the job-journal replay (against
+# an in-memory reference model) and the symbolic-store weak-update image
+# (against a concrete-memory reference model), then the full suite.
 ci: vet build race fuzz test
 
 # vet fails on any Go file gofmt would rewrite, bench/ and dot
@@ -38,6 +39,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalKey -fuzztime=5s ./internal/sym/
 	$(GO) test -run '^$$' -fuzz FuzzInternEval -fuzztime=5s ./internal/sym/
 	$(GO) test -run '^$$' -fuzz FuzzMemoryCOW -fuzztime=5s ./internal/mem/
+	$(GO) test -run '^$$' -fuzz FuzzProgramDecode -fuzztime=5s ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzSolveBruteForce -fuzztime=5s ./internal/sat/
 	$(GO) test -run '^$$' -fuzz FuzzResetEquivalence -fuzztime=5s ./internal/sat/
 	$(GO) test -run '^$$' -fuzz FuzzMutateDeterminism -fuzztime=5s ./internal/mutate/
@@ -56,6 +58,8 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkExploreParallel|BenchmarkSolverCacheHitRate' -benchtime 3x ./internal/core/...
 	$(GO) test -run '^$$' -bench 'BenchmarkExploreCheckpointed|BenchmarkExploreFromScratch' -benchtime 3x ./internal/core/...
 	$(GO) test -run '^$$' -bench 'BenchmarkMemClone|BenchmarkMemCloneWriteFault' ./internal/mem/...
+	$(GO) test -run '^$$' -bench 'BenchmarkExecLoop' ./internal/vm/
+	$(GO) test -run '^$$' -bench 'BenchmarkGuestSHA1' -benchmem ./internal/gos/
 	$(GO) test -run '^$$' -bench 'BenchmarkInputKey' ./internal/core/...
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheSolveHit|BenchmarkSolveUncached|BenchmarkCanonicalKey' ./internal/solver/...
 	$(GO) test -run '^$$' -bench 'BenchmarkRoundFresh' -benchtime 3x ./internal/solver/

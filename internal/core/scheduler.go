@@ -403,11 +403,12 @@ func (en *Engine) runConcrete(in target.Input, plan *replayPlan, record bool) (m
 		}
 	}
 	if m == nil {
-		nm, nerr := gos.New(en.img, cfg)
-		if nerr != nil {
-			return nil, nil, 0, false, 0, nerr
+		if en.prog == nil {
+			// The image does not decode; gos.New reports why.
+			_, err = gos.New(en.img, cfg)
+			return nil, nil, 0, false, 0, err
 		}
-		m = nm
+		m = gos.NewProgram(en.prog, cfg)
 	}
 	return m, m.Run(), prefixLen, resumed, skipped, nil
 }

@@ -237,6 +237,13 @@ func New(img *bin.Image, cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewProgram(prog, cfg), nil
+}
+
+// NewProgram creates a machine for an already decoded program under the
+// given configuration. A caller that runs one image many times decodes
+// it once and shares the program: it is read-only after load.
+func NewProgram(prog *vm.Program, cfg Config) *Machine {
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = DefaultMaxSteps
 	}
@@ -270,8 +277,8 @@ func New(img *bin.Image, cfg Config) (*Machine, error) {
 	for _, a := range cfg.WatchAddrs {
 		m.watched[a] = false
 	}
-	m.loadRoot(img)
-	return m, nil
+	m.loadRoot(prog.Image)
+	return m
 }
 
 func (m *Machine) loadRoot(img *bin.Image) {
@@ -407,6 +414,7 @@ func (m *Machine) runSlice(t *thread) {
 		quantum = m.sliceLeft
 		m.sliceLeft = 0
 	}
+	var e trace.Entry // refilled in place by every step
 	for n := 0; n < quantum && !m.stopped && !t.dead && t.block.kind == blockNone; n++ {
 		if m.steps >= m.cfg.MaxSteps {
 			m.stop(StopMaxSteps, 0)
@@ -420,10 +428,12 @@ func (m *Machine) runSlice(t *thread) {
 			m.earlySnapshots()
 		}
 		m.steps++
-		if _, seen := m.watched[t.cpu.PC]; seen {
-			m.watched[t.cpu.PC] = true
+		for _, a := range m.cfg.WatchAddrs {
+			if a == t.cpu.PC {
+				m.watched[a] = true
+			}
 		}
-		e, kind := vm.Exec(t.cpu, t.proc.mem, m.prog)
+		kind := vm.Exec(t.cpu, t.proc.mem, m.prog, &e)
 		e.TID = t.tid
 		e.PID = t.proc.pid
 		switch kind {

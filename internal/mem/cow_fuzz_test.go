@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 )
@@ -28,17 +29,37 @@ func (r *refMemory) load(addr uint64) byte     { return r.bytes[addr] }
 // FuzzMemoryCOW drives random interleavings of writes, clones and reads
 // over a family of copy-on-write memories and checks every one of them
 // against its deep-copy reference: contents stay byte-equal and writes
-// never leak between siblings.
+// never leak between siblings. Multi-byte Write/Read/WriteUint/ReadUint
+// accesses start just below a page boundary so they straddle it; a twin
+// family applies every write byte by byte with StoreByte, and each
+// memory must end with its twin's COW fault and page counts.
 func FuzzMemoryCOW(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 1, 0xff, 2})
 	f.Add([]byte{1, 1, 0, 9, 9, 2, 3, 0, 7})
 	f.Add([]byte{0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3})
+	f.Add([]byte{3, 0, 0x3c, 0, 3, 9, 1, 0, 3, 0, 0x3c, 1, 5, 7, 3, 1, 0x3f, 1, 9, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		cows := []*Memory{New()}
+		twins := []*Memory{New()}
 		refs := []*refMemory{newRefMemory()}
 		// touched tracks every address any operation wrote, so the final
 		// sweep compares the full modelled footprint.
 		touched := make(map[uint64]bool)
+		write := func(i int, addr uint64, buf []byte) {
+			for j, b := range buf {
+				a := addr + uint64(j)
+				twins[i].StoreByte(a, b)
+				refs[i].store(a, b)
+				touched[a] = true
+			}
+		}
+		checkRead := func(i int, addr uint64, got []byte, how string) {
+			for j, b := range got {
+				if want := refs[i].load(addr + uint64(j)); b != want {
+					t.Fatalf("mem[%d] %s at %#x: byte %d = %#x, reference says %#x", i, how, addr, j, b, want)
+				}
+			}
+		}
 
 		// The script is consumed as a stream of (op, operand...) tuples.
 		pos := 0
@@ -61,7 +82,7 @@ func FuzzMemoryCOW(f *testing.F) {
 				break
 			}
 			i := int(which) % len(cows)
-			switch op % 3 {
+			switch op % 4 {
 			case 0: // write one byte
 				hi, _ := next()
 				lo, _ := next()
@@ -70,11 +91,11 @@ func FuzzMemoryCOW(f *testing.F) {
 				// contend on shared pages instead of scattering.
 				addr := (uint64(hi%5) * PageSize) + uint64(lo)*16
 				cows[i].StoreByte(addr, val)
-				refs[i].store(addr, val)
-				touched[addr] = true
+				write(i, addr, []byte{val})
 			case 1: // clone
 				if len(cows) < maxMems {
 					cows = append(cows, cows[i].Clone())
+					twins = append(twins, twins[i].Clone())
 					refs = append(refs, refs[i].clone())
 				}
 			case 2: // spot read
@@ -83,6 +104,48 @@ func FuzzMemoryCOW(f *testing.F) {
 				addr := (uint64(hi%5) * PageSize) + uint64(lo)*16
 				if got, want := cows[i].LoadByte(addr), refs[i].load(addr); got != want {
 					t.Fatalf("mem[%d] read %#x = %#x, reference says %#x", i, addr, got, want)
+				}
+			case 3: // multi-byte access straddling a page boundary
+				kind, _ := next()
+				hi, _ := next()
+				val, _ := next()
+				// Start up to 15 bytes below the boundary above page hi%5;
+				// a length of up to 16 bytes (8 for the Uint forms)
+				// crosses it whenever it is longer than that gap.
+				addr := uint64(hi%5+1)*PageSize - uint64(hi>>4)
+				n := 1 + int(kind>>2)%16
+				size := [4]uint8{1, 2, 4, 8}[(kind>>2)%4]
+				switch kind % 4 {
+				case 0:
+					buf := make([]byte, n)
+					for j := range buf {
+						buf[j] = val + byte(j)
+					}
+					cows[i].Write(addr, buf)
+					write(i, addr, buf)
+				case 1:
+					buf := make([]byte, n)
+					cows[i].Read(addr, buf)
+					checkRead(i, addr, buf, "Read")
+				case 2:
+					v := uint64(val) * 0x0102_0304_0506_0708
+					if err := cows[i].WriteUint(addr, size, v); err != nil {
+						t.Fatal(err)
+					}
+					var buf [8]byte
+					binary.LittleEndian.PutUint64(buf[:], v)
+					write(i, addr, buf[:size])
+				case 3:
+					v, err := cows[i].ReadUint(addr, size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var buf [8]byte
+					binary.LittleEndian.PutUint64(buf[:], v)
+					checkRead(i, addr, buf[:size], "ReadUint")
+					if size < 8 && v>>(8*size) != 0 {
+						t.Fatalf("mem[%d] ReadUint(%#x, %d) = %#x is not zero-extended", i, addr, size, v)
+					}
 				}
 			}
 		}
@@ -97,6 +160,12 @@ func FuzzMemoryCOW(f *testing.F) {
 					t.Fatalf("after script: mem[%d] at %#x = %#x, reference says %#x (siblings must not share writes)",
 						i, addr, got, want)
 				}
+			}
+			if got, want := cows[i].COWFaults(), twins[i].COWFaults(); got != want {
+				t.Fatalf("mem[%d] took %d COW faults, byte-wise twin %d", i, got, want)
+			}
+			if got, want := cows[i].PageCount(), twins[i].PageCount(); got != want {
+				t.Fatalf("mem[%d] holds %d pages, byte-wise twin %d", i, got, want)
 			}
 		}
 	})

@@ -146,17 +146,29 @@ func (m *Memory) StoreByte(addr uint64, b byte) {
 	p.data[addr%PageSize] = b
 }
 
-// Read fills buf with len(buf) bytes starting at addr.
+// Read fills buf with len(buf) bytes starting at addr, one page span at
+// a time.
 func (m *Memory) Read(addr uint64, buf []byte) {
-	for i := range buf {
-		buf[i] = m.LoadByte(addr + uint64(i))
+	for len(buf) > 0 {
+		off := addr % PageSize
+		n := min(PageSize-int(off), len(buf))
+		if p := m.pageFor(addr, false); p != nil {
+			copy(buf[:n], p.data[off:])
+		} else {
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		addr += uint64(n)
 	}
 }
 
-// Write stores buf at addr.
+// Write stores buf at addr, one page span at a time: each page touched
+// is looked up, and copied if shared, once.
 func (m *Memory) Write(addr uint64, buf []byte) {
-	for i, b := range buf {
-		m.StoreByte(addr+uint64(i), b)
+	for len(buf) > 0 {
+		n := copy(m.writablePage(addr).data[addr%PageSize:], buf)
+		buf = buf[n:]
+		addr += uint64(n)
 	}
 }
 

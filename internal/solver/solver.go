@@ -17,6 +17,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -493,6 +494,9 @@ func byteGroups(names []string, widths map[string]int) []byteGroup {
 			out = append(out, g)
 		}
 	}
+	// fpSearch picks groups by index from its seeded rng, so their order
+	// must not depend on map iteration.
+	sort.Slice(out, func(i, j int) bool { return out[i].prefix < out[j].prefix })
 	return out
 }
 

@@ -220,3 +220,27 @@ func TestModelSatisfiesSystem(t *testing.T) {
 		}
 	}
 }
+
+// TestByteGroupsOrderDeterministic gates the FP local search's
+// determinism: fpSearch picks a byte group by index from its seeded rng,
+// so byteGroups must return its groups in one order, sorted by prefix,
+// however the map it builds them in iterates.
+func TestByteGroupsOrderDeterministic(t *testing.T) {
+	names := []string{"web:P[0]", "argv1[1]", "getenv:X[0]", "argv1[0]", "web:P[1]", "getenv:X[1]", "n"}
+	widths := map[string]int{"n": 64}
+	for _, n := range names[:6] {
+		widths[n] = 8
+	}
+	want := []string{"argv1[", "getenv:X[", "web:P["}
+	for call := 0; call < 100; call++ {
+		groups := byteGroups(names, widths)
+		if len(groups) != len(want) {
+			t.Fatalf("call %d: %d groups, want %d", call, len(groups), len(want))
+		}
+		for i, g := range groups {
+			if g.prefix != want[i] || len(g.names) != 2 || g.names[0] != want[i]+"0]" {
+				t.Fatalf("call %d: group %d = %+v, want prefix %q holding %s0] and %s1]", call, i, g, want[i], want[i], want[i])
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // BenchmarkExecLoop measures raw interpreter throughput on a counting
@@ -26,13 +27,15 @@ _start:
 	if err != nil {
 		b.Fatal(err)
 	}
+	var e trace.Entry
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cpu := &CPU{PC: img.Entry}
 		cpu.SetSP(0x7000_0000)
 		m := mem.New()
 		for {
-			_, kind := Exec(cpu, m, p)
+			kind := Exec(cpu, m, p, &e)
 			if kind == StepHalt {
 				break
 			}

@@ -1,0 +1,97 @@
+package vm
+
+import (
+	"testing"
+
+	"repro/internal/bin"
+	"repro/internal/isa"
+)
+
+// refDecode is the reference model of LoadProgram: a map from every
+// instruction start to its decoded form, built by walking isa.Decode
+// over the text.
+func refDecode(base uint64, text []byte) (map[uint64]decoded, error) {
+	code := make(map[uint64]decoded)
+	for off := 0; off < len(text); {
+		in, n, err := isa.Decode(text[off:])
+		if err != nil {
+			return nil, err
+		}
+		code[base+uint64(off)] = decoded{instr: in, len: uint8(n)}
+		off += n
+	}
+	return code, nil
+}
+
+// FuzzProgramDecode checks the dense decode table against the reference
+// map: the script encodes a random instruction stream at a random text
+// base, followed by up to 16 bytes of trailing garbage. Both models must
+// agree on whether the text decodes, At must agree with the map at every
+// address from 16 bytes below the text to 16 past its end, and Instrs
+// must visit exactly the map's instructions in ascending address order.
+func FuzzProgramDecode(f *testing.F) {
+	f.Add([]byte{0, 3, 2, 1, 1, 2, 3, 4, 5, 20, 2, 1, 0, 0, 9})
+	f.Add([]byte{7, 8, 18, 2, 3, 0, 0, 0xff, 1, 1, 1, 1, 1, 1, 0x30, 0, 0, 0})
+	f.Add([]byte{1, 2, 0, 0, 0, 0, 0, 0, 63, 1, 2, 3, 4, 5})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) < 2 {
+			return
+		}
+		base := 0x1000 + uint64(script[0])
+		count := int(script[1] % 64)
+		rest := script[2:]
+		var ins []isa.Instr
+		for ; count > 0 && len(rest) >= 6; count-- {
+			in := isa.Instr{
+				Op:   isa.Op(rest[0] % 64),
+				Mode: isa.Mode(rest[1] % 8),
+				R1:   isa.Reg(rest[2] % isa.NumRegs),
+				R2:   isa.Reg(rest[3] % isa.NumRegs),
+				Size: [4]uint8{1, 2, 4, 8}[rest[4]%4],
+				Imm:  int64(int8(rest[5])) << (rest[4] % 60),
+			}
+			rest = rest[6:]
+			if in.Validate() == nil {
+				ins = append(ins, in)
+			}
+		}
+		text, err := isa.EncodeProgram(ins)
+		if err != nil {
+			t.Fatalf("encode %d valid instructions: %v", len(ins), err)
+		}
+		text = append(text, rest[:min(len(rest), 16)]...)
+
+		img := &bin.Image{Entry: base, Sections: []bin.Section{{Name: ".text", Addr: base, Data: text}}}
+		p, err := LoadProgram(img)
+		ref, rerr := refDecode(base, text)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("LoadProgram error %v, reference error %v", err, rerr)
+		}
+		if err != nil {
+			return
+		}
+
+		end := base + uint64(len(text))
+		for a := base - 16; a < end+16; a++ {
+			in, n, ok := p.At(a)
+			want, wok := ref[a]
+			if ok != wok || (ok && (in != want.instr || n != int(want.len))) {
+				t.Fatalf("At(%#x) = %+v/%d/%v, reference %+v/%d/%v", a, in, n, ok, want.instr, want.len, wok)
+			}
+		}
+		visited, last := 0, uint64(0)
+		p.Instrs(func(a uint64, in isa.Instr, n int) {
+			want, ok := ref[a]
+			if !ok || in != want.instr || n != int(want.len) {
+				t.Fatalf("Instrs visited %#x = %+v/%d, reference %+v/%d/%v", a, in, n, want.instr, want.len, ok)
+			}
+			if visited > 0 && a <= last {
+				t.Fatalf("Instrs visited %#x after %#x", a, last)
+			}
+			visited, last = visited+1, a
+		})
+		if visited != len(ref) || p.NumInstrs() != len(ref) {
+			t.Fatalf("Instrs visited %d, NumInstrs %d, reference holds %d", visited, p.NumInstrs(), len(ref))
+		}
+	})
+}

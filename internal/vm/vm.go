@@ -7,7 +7,6 @@ package vm
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/bin"
 	"repro/internal/isa"
@@ -36,17 +35,22 @@ func (c *CPU) SP() uint64 { return c.Regs[isa.SP] }
 // SetSP sets the stack pointer.
 func (c *CPU) SetSP(v uint64) { c.Regs[isa.SP] = v }
 
-// Program is a decoded binary image: a map from every valid instruction
-// address to its decoded form. LB64 text is immutable after load, so
-// decoding once up front is sound (self-modifying code is out of scope).
+// Program is a decoded binary image: a dense table with one slot per
+// byte of text, indexed by pc - base, holding the instruction that starts
+// at that address. LB64 text is immutable after load, so decoding once up
+// front is sound (self-modifying code is out of scope). A slot whose len
+// is zero starts no instruction, so a jump into the middle of one faults
+// exactly like a jump outside the text.
 type Program struct {
 	Image *bin.Image
-	code  map[uint64]decoded
+	base  uint64
+	code  []decoded
+	n     int
 }
 
 type decoded struct {
 	instr isa.Instr
-	len   int
+	len   uint8 // 0: no instruction starts here
 }
 
 // LoadProgram decodes the text section of an image.
@@ -55,39 +59,48 @@ func LoadProgram(img *bin.Image) (*Program, error) {
 	if !ok {
 		return nil, fmt.Errorf("vm: image has no .text section")
 	}
-	p := &Program{Image: img, code: make(map[uint64]decoded)}
+	p := &Program{Image: img, base: sec.Addr, code: make([]decoded, len(sec.Data))}
 	off := 0
 	for off < len(sec.Data) {
 		in, n, err := isa.Decode(sec.Data[off:])
 		if err != nil {
 			return nil, fmt.Errorf("vm: decode at %#x: %w", sec.Addr+uint64(off), err)
 		}
-		p.code[sec.Addr+uint64(off)] = decoded{instr: in, len: n}
+		p.code[off] = decoded{instr: in, len: uint8(n)}
+		p.n++
 		off += n
 	}
 	return p, nil
 }
 
+// lookup returns the slot of the instruction starting at addr, or nil.
+func (p *Program) lookup(addr uint64) *decoded {
+	off := addr - p.base
+	if off >= uint64(len(p.code)) || p.code[off].len == 0 {
+		return nil
+	}
+	return &p.code[off]
+}
+
 // At returns the decoded instruction at addr.
 func (p *Program) At(addr uint64) (isa.Instr, int, bool) {
-	d, ok := p.code[addr]
-	return d.instr, d.len, ok
+	d := p.lookup(addr)
+	if d == nil {
+		return isa.Instr{}, 0, false
+	}
+	return d.instr, int(d.len), true
 }
 
 // NumInstrs returns the number of decoded instructions.
-func (p *Program) NumInstrs() int { return len(p.code) }
+func (p *Program) NumInstrs() int { return p.n }
 
 // Instrs calls f for every decoded instruction in ascending address
 // order (static analyses over the code need a stable iteration order).
 func (p *Program) Instrs(f func(addr uint64, in isa.Instr, size int)) {
-	addrs := make([]uint64, 0, len(p.code))
-	for a := range p.code {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		d := p.code[a]
-		f(a, d.instr, d.len)
+	for off := 0; off < len(p.code); {
+		d := &p.code[off]
+		f(p.base+uint64(off), d.instr, int(d.len))
+		off += int(d.len)
 	}
 }
 
@@ -108,18 +121,19 @@ const ExitThreadPC = 0xdead_0000_0000_0000
 
 // Exec executes exactly one instruction at cpu.PC.
 //
-// It fills in a trace.Entry describing the step (pc, operand values,
-// effective address, branch outcome) and advances the CPU. Syscall
-// instructions return StepSyscall *without* advancing further state —
-// the OS performs the call, sets r0 and records the SysEvent. Faults
-// return StepFault with Entry.Exc set and leave PC on the faulting
+// It overwrites *e with a trace.Entry describing the step (pc, operand
+// values, effective address, branch outcome) and advances the CPU. The
+// caller owns e and reuses it across steps, so one step copies no entry.
+// Syscall instructions return StepSyscall *without* advancing further
+// state — the OS performs the call, sets r0 and records the SysEvent.
+// Faults return StepFault with Entry.Exc set and leave PC on the faulting
 // instruction so the OS can dispatch a handler.
-func Exec(cpu *CPU, m *mem.Memory, prog *Program) (trace.Entry, StepKind) {
-	e := trace.Entry{PC: cpu.PC}
-	d, ok := prog.code[cpu.PC]
-	if !ok {
+func Exec(cpu *CPU, m *mem.Memory, prog *Program, e *trace.Entry) StepKind {
+	*e = trace.Entry{PC: cpu.PC}
+	d := prog.lookup(cpu.PC)
+	if d == nil {
 		e.Exc = &trace.ExcEvent{Kind: "badpc"}
-		return e, StepFault
+		return StepFault
 	}
 	in := d.instr
 	e.Instr = in
@@ -160,7 +174,7 @@ func Exec(cpu *CPU, m *mem.Memory, prog *Program) (trace.Entry, StepKind) {
 		v, err := m.ReadUint(addr, in.Size)
 		if err != nil {
 			e.Exc = &trace.ExcEvent{Kind: "badaccess"}
-			return e, StepFault
+			return StepFault
 		}
 		e.Addr, e.MemVal = addr, v
 		cpu.Regs[in.R1] = v
@@ -170,7 +184,7 @@ func Exec(cpu *CPU, m *mem.Memory, prog *Program) (trace.Entry, StepKind) {
 		v := cpu.Regs[in.R2]
 		if err := m.WriteUint(addr, in.Size, v); err != nil {
 			e.Exc = &trace.ExcEvent{Kind: "badaccess"}
-			return e, StepFault
+			return StepFault
 		}
 		e.Addr = addr
 		e.MemVal = v & sizeMask(in.Size)
@@ -202,7 +216,7 @@ func Exec(cpu *CPU, m *mem.Memory, prog *Program) (trace.Entry, StepKind) {
 		b := src()
 		if b == 0 {
 			e.Exc = &trace.ExcEvent{Kind: "div0"}
-			return e, StepFault
+			return StepFault
 		}
 		a := cpu.Regs[in.R1]
 		var r uint64
@@ -317,16 +331,16 @@ func Exec(cpu *CPU, m *mem.Memory, prog *Program) (trace.Entry, StepKind) {
 	case isa.OpSyscall:
 		cpu.PC = next
 		e.NextPC = next
-		return e, StepSyscall
+		return StepSyscall
 
 	case isa.OpHalt:
 		cpu.PC = next
-		return e, StepHalt
+		return StepHalt
 	}
 
 	cpu.PC = next
 	e.NextPC = next
-	return e, StepNormal
+	return StepNormal
 }
 
 // CondHolds evaluates a conditional-jump predicate against the flags.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 func negU64(v uint64) uint64 { return ^v + 1 }
@@ -25,6 +26,13 @@ func progFrom(t *testing.T, text string) *Program {
 	return p
 }
 
+// step runs one instruction into a fresh entry.
+func step(cpu *CPU, m *mem.Memory, p *Program) (trace.Entry, StepKind) {
+	var e trace.Entry
+	kind := Exec(cpu, m, p, &e)
+	return e, kind
+}
+
 // run executes instructions until halt or fault, with a step bound.
 func run(t *testing.T, text string) (*CPU, *mem.Memory) {
 	t.Helper()
@@ -36,7 +44,7 @@ func run(t *testing.T, text string) (*CPU, *mem.Memory) {
 		m.Write(sec.Addr, sec.Data)
 	}
 	for i := 0; i < 10000; i++ {
-		e, kind := Exec(cpu, m, p)
+		e, kind := step(cpu, m, p)
 		switch kind {
 		case StepHalt:
 			return cpu, m
@@ -277,7 +285,7 @@ _start:
 	cpu.SetSP(0x7000_0000)
 	m := mem.New()
 	for i := 0; i < 100; i++ {
-		_, kind := Exec(cpu, m, p)
+		_, kind := step(cpu, m, p)
 		if kind == StepHalt {
 			break
 		}
@@ -302,7 +310,7 @@ _start:
 	cpu.SetSP(0x7000_0000)
 	m := mem.New()
 	for i := 0; i < 10; i++ {
-		e, kind := Exec(cpu, m, p)
+		e, kind := step(cpu, m, p)
 		if kind == StepFault {
 			if e.Exc.Kind != "div0" {
 				t.Errorf("fault kind = %s, want div0", e.Exc.Kind)
@@ -320,7 +328,7 @@ func TestBadPCFaults(t *testing.T) {
 	p := progFrom(t, "_start:\n halt\n")
 	cpu := &CPU{PC: 0x999999}
 	m := mem.New()
-	e, kind := Exec(cpu, m, p)
+	e, kind := step(cpu, m, p)
 	if kind != StepFault || e.Exc.Kind != "badpc" {
 		t.Errorf("got kind %v exc %+v, want badpc fault", kind, e.Exc)
 	}
@@ -345,7 +353,7 @@ _start:
 		op     isa.Op
 	}
 	for i := 0; i < 10; i++ {
-		e, kind := Exec(cpu, m, p)
+		e, kind := step(cpu, m, p)
 		entries = append(entries, struct {
 			v1, v2 uint64
 			taken  bool
@@ -396,7 +404,7 @@ _start:
 		cpu.Regs[isa.R2] = uint64(k)
 		m := mem.New()
 		for {
-			_, kind := Exec(cpu, m, p)
+			_, kind := step(cpu, m, p)
 			if kind == StepHalt {
 				break
 			}
