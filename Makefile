@@ -4,10 +4,11 @@ GOFMT ?= gofmt
 .PHONY: ci vet build race fuzz test test-short bench tables clean
 
 # ci is the gate: static checks, build, the concurrency-sensitive
-# packages under the race detector, short fuzz smokes on the solver
-# cache key, the interning equivalence property, the COW memory
-# (clone/write and page-straddling multi-byte access vs a deep-copy
-# reference model), the VM's dense decode table (vs a decode-walk
+# packages under the race detector (among them concurrent clones of one
+# boot memory, in internal/mem and through parallel engine rounds),
+# short fuzz smokes on the solver cache key, the interning equivalence
+# property, the COW memory (clone/write and page-straddling multi-byte
+# access vs a deep-copy reference model), the VM's dense decode table (vs a decode-walk
 # reference map), the SAT core with unit clauses added between solves
 # (vs brute-force enumeration), a Reset SAT solver (vs a new one), the
 # append-only journal (crashed log plus single- and two-handle appends
@@ -56,7 +57,6 @@ test-short:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkPigeonhole7|BenchmarkPropagationChain|BenchmarkFreshQuery' ./internal/sat/
 	$(GO) test -run '^$$' -bench 'BenchmarkExploreParallel|BenchmarkSolverCacheHitRate' -benchtime 3x ./internal/core/...
-	$(GO) test -run '^$$' -bench 'BenchmarkExploreCheckpointed|BenchmarkExploreFromScratch' -benchtime 3x ./internal/core/...
 	$(GO) test -run '^$$' -bench 'BenchmarkMemClone|BenchmarkMemCloneWriteFault' ./internal/mem/...
 	$(GO) test -run '^$$' -bench 'BenchmarkExecLoop' ./internal/vm/
 	$(GO) test -run '^$$' -bench 'BenchmarkGuestSHA1' -benchmem ./internal/gos/

@@ -49,7 +49,7 @@ func main() {
 				run = eval.RunTableIIExtendedFleet
 			}
 			g, err := run(eval.FleetOptions{
-				Strategy: res.Strategy, Fuzz: res.Fuzz, CoverGoal: res.CoverGoal,
+				Strategy: opts.Strategy, Fuzz: res.Fuzz, CoverGoal: res.CoverGoal,
 			}, endpoints)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "evaltable: %v\n", err)
@@ -58,8 +58,8 @@ func main() {
 			return g
 		}
 		eopts := eval.Options{
-			Workers: res.Workers, Checkpoint: res.Checkpoint,
-			Strategy: res.Strategy, Fuzz: res.Fuzz, CoverGoal: res.CoverGoal,
+			Workers:  res.Workers,
+			Strategy: opts.Strategy, Fuzz: res.Fuzz, CoverGoal: res.CoverGoal,
 		}
 		if *extended {
 			return eval.RunTableIIExtended(eopts)

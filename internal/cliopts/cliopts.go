@@ -14,17 +14,15 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/suggest"
 )
 
 // Options is the raw option cluster as read from flags or a job request.
 // String fields keep their wire form; Resolve validates and converts.
 type Options struct {
-	Workers    int
-	Checkpoint string // "auto" | "off" ("" = auto)
-	Strategy   string // core.SearchStrategyNames ("" = profile default)
-	Fuzz       bool
-	CoverGoal  float64
+	Workers   int
+	Strategy  string // core.SearchStrategyNames ("" = profile default)
+	Fuzz      bool
+	CoverGoal float64
 }
 
 // Register defines the shared flag cluster on fs and returns the
@@ -34,9 +32,6 @@ func Register(fs *flag.FlagSet) *Options {
 	o := &Options{}
 	fs.IntVar(&o.Workers, "workers", 0,
 		"concurrent exploration rounds (0 = all CPUs, 1 = sequential)")
-	fs.StringVar(&o.Checkpoint, "checkpoint", "auto",
-		"snapshot-replay policy: auto (resume rounds from checkpoints) or off "+
-			"(re-execute every round from _start; identical outcomes)")
 	fs.StringVar(&o.Strategy, "strategy", "",
 		"frontier search order: "+strings.Join(core.SearchStrategyNames(), ", ")+
 			" (coverage scores candidates by uncovered flip targets; "+
@@ -68,11 +63,6 @@ func Check(o Options, d Dialect) error {
 	if o.Workers < 0 {
 		return fmt.Errorf("%s must be non-negative", d("workers"))
 	}
-	switch o.Checkpoint {
-	case "", "auto", "off":
-	default:
-		return suggest.Unknown("checkpoint policy", o.Checkpoint, []string{"auto", "off"})
-	}
 	strat, err := core.ParseSearchStrategy(o.Strategy)
 	if err != nil {
 		return err
@@ -89,7 +79,6 @@ func Check(o Options, d Dialect) error {
 // Resolved is the validated, engine-ready form of the cluster.
 type Resolved struct {
 	Workers     int
-	Checkpoint  core.CheckpointPolicy
 	Strategy    core.SearchStrategy
 	StrategySet bool // explicit -strategy; false keeps the profile default
 	Fuzz        bool
@@ -102,11 +91,6 @@ func (o Options) Resolve(d Dialect) (*Resolved, error) {
 		return nil, err
 	}
 	r := &Resolved{Workers: o.Workers, Fuzz: o.Fuzz, CoverGoal: o.CoverGoal}
-	if o.Checkpoint == "off" {
-		r.Checkpoint = core.CheckpointOff
-	} else {
-		r.Checkpoint = core.CheckpointAuto
-	}
 	if o.Strategy != "" {
 		r.Strategy, _ = core.ParseSearchStrategy(o.Strategy)
 		r.StrategySet = true
@@ -119,7 +103,6 @@ func (o Options) Resolve(d Dialect) (*Resolved, error) {
 // leave the profile's defaults intact.
 func (r *Resolved) Apply(caps *core.Capabilities) {
 	caps.Workers = r.Workers
-	caps.Checkpoint = r.Checkpoint
 	if r.StrategySet {
 		caps.Search = r.Strategy
 	}

@@ -25,15 +25,18 @@ func TestResolveDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	if res.Checkpoint != core.CheckpointAuto || res.StrategySet || res.Fuzz || res.CoverGoal != 0 {
+	if res.StrategySet || res.Fuzz || res.CoverGoal != 0 {
 		t.Errorf("unexpected defaults: %+v", res)
 	}
-	// The engine has one solver mode, so the cluster has no -solver flag.
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	Register(fs)
-	if err := fs.Parse([]string{"-solver", "fresh"}); err == nil || !strings.Contains(err.Error(), "-solver") {
-		t.Errorf("-solver parsed: %v", err)
+	// The engine has one solver mode and runs every round from the entry
+	// point, so the cluster has neither a -solver nor a -checkpoint flag.
+	for _, argv := range [][]string{{"-solver", "fresh"}, {"-checkpoint", "off"}} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Register(fs)
+		if err := fs.Parse(argv); err == nil || !strings.Contains(err.Error(), argv[0]) {
+			t.Errorf("%s parsed: %v", argv[0], err)
+		}
 	}
 }
 
@@ -75,7 +78,6 @@ func TestCheckCrossFieldRules(t *testing.T) {
 	}{
 		{"defaults", Options{}, ""},
 		{"negative workers", Options{Workers: -1}, "-workers must be non-negative"},
-		{"bad checkpoint", Options{Checkpoint: "of"}, `unknown checkpoint policy "of"`},
 		{"bad strategy", Options{Strategy: "coverge"}, `unknown search strategy "coverge"`},
 		{"fuzz without coverage", Options{Fuzz: true}, "-fuzz requires -strategy=coverage"},
 		{"fuzz ok", Options{Fuzz: true, Strategy: "coverage"}, ""},

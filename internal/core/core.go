@@ -100,14 +100,6 @@ type Capabilities struct {
 	// (<= 0: solver.DefaultCacheSize).
 	SolverCacheSize int
 
-	// Checkpoint selects the snapshot-replay policy: CheckpointAuto (the
-	// zero value) resumes each candidate from the deepest machine
-	// snapshot that precedes its divergence point, re-executing only the
-	// suffix; CheckpointOff re-executes every round from the entry point.
-	// Outcomes are byte-identical either way — only the work profile
-	// (instructions executed, pages copied) changes.
-	Checkpoint CheckpointPolicy
-
 	// SharedCache, when non-nil, backs the engine's solver query cache
 	// with a persistent tier shared across replicas (see
 	// solver.Cache.SetShared): LRU misses consult it before solving, and
@@ -333,7 +325,7 @@ type Engine struct {
 	// cumulative tracker — the deterministic scoring and goal view;
 	// every merged run also feeds cover.Global() for process metrics.
 	cov        *cover.Tracker
-	prog       *vm.Program     // decoded image; nil when undecodable
+	prog       *vm.Program     // loaded image; nil when undecodable
 	leaders    map[uint64]bool // static basic-block leaders
 	goalBlocks int             // resolved CoverGoal in blocks (0: no goal)
 
@@ -345,7 +337,7 @@ type Engine struct {
 
 	// Hybrid fuzzing state: corpus holds inputs whose runs found new
 	// coverage (breeding stock), fuzzSeen dedups executed mutants.
-	corpus    []corpusEntry
+	corpus    []target.Input
 	corpusIdx int
 	fuzzSeen  map[string]bool
 }
@@ -371,10 +363,11 @@ func New(img *bin.Image, target uint64, caps Capabilities) *Engine {
 		caps.FuzzExecs = DefaultFuzzExecs
 	}
 	workers := caps.ResolvedWorkers()
-	// The decoded program gives the coverage layer its static structure:
-	// block leaders for the block metric and flip-target successors for
-	// candidate scoring. Images that fail to decode fall back to
-	// edge-only coverage (leaders == nil counts every executed PC).
+	// The loaded program is what every round's machine starts from, and
+	// it gives the coverage layer its static structure: block leaders for
+	// the block metric and flip-target successors for candidate scoring.
+	// Images that fail to decode fall back to edge-only coverage
+	// (leaders == nil counts every executed PC).
 	prog, _ := vm.LoadProgram(img)
 	var leaders map[uint64]bool
 	if prog != nil {

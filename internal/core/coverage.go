@@ -33,8 +33,7 @@ import (
 // Breed rounds run at the same boundaries, on the engine's single
 // scheduler thread: a deterministic-seeded mutator derives mutants of
 // corpus inputs (inputs whose runs covered new edges — solved models
-// included), executes them purely concretely — resuming from the
-// parent's checkpoints when a snapshot covers the mutated prefix — and
+// included), executes them purely concretely and coverage-only, and
 // promotes new-coverage survivors into the next generation as seeds.
 // Shallow branches get flipped by cheap mutation; the solver's budget
 // lands on the deep ones.
@@ -51,13 +50,6 @@ const (
 	// per breed round, as a multiple of FuzzExecs.
 	fuzzAttemptFactor = 4
 )
-
-// corpusEntry is one breeding-stock input plus the replay plan that
-// lets its mutants resume from the run's checkpoints.
-type corpusEntry struct {
-	in   target.Input
-	plan *replayPlan
-}
 
 func (en *Engine) fuzzOn() bool {
 	return en.caps.Fuzz && en.caps.Search == SearchCoverage
@@ -123,13 +115,12 @@ func (en *Engine) scoreCandidate(c candidate) int {
 }
 
 // corpusAdd rotates an input into the breeding stock.
-func (en *Engine) corpusAdd(in target.Input, plan *replayPlan) {
-	e := corpusEntry{in: in, plan: plan}
+func (en *Engine) corpusAdd(in target.Input) {
 	if len(en.corpus) < maxCorpus {
-		en.corpus = append(en.corpus, e)
+		en.corpus = append(en.corpus, in)
 		return
 	}
-	en.corpus[en.corpusIdx%maxCorpus] = e
+	en.corpus[en.corpusIdx%maxCorpus] = in
 	en.corpusIdx++
 }
 
@@ -147,7 +138,7 @@ func (en *Engine) breed() bool {
 	mu := mutate.New(en.caps.FuzzSeed ^ int64(en.gen)*0x9e3779b9)
 	splice := make([]string, len(en.corpus))
 	for i := range en.corpus {
-		splice[i] = en.corpus[i].in.Argv1
+		splice[i] = en.corpus[i].Argv1
 	}
 	promoted, runs := 0, 0
 	for attempts := 0; runs < en.caps.FuzzExecs && attempts < en.caps.FuzzExecs*fuzzAttemptFactor; attempts++ {
@@ -155,18 +146,18 @@ func (en *Engine) breed() bool {
 			return false
 		}
 		parent := en.corpus[mu.Intn(len(en.corpus))]
-		maxLen := len(parent.in.Argv1)
+		maxLen := len(parent.Argv1)
 		if en.caps.GrowArgv && en.caps.MaxArgvLen > maxLen {
 			maxLen = en.caps.MaxArgvLen
 		}
-		in := parent.in
-		in.Argv1 = mu.Mutate(parent.in.Argv1, splice, maxLen)
+		in := parent
+		in.Argv1 = mu.Mutate(parent.Argv1, splice, maxLen)
 		key := inputKey(in)
 		if en.fuzzSeen[key] || en.seenInput[key] {
 			continue
 		}
 		en.fuzzSeen[key] = true
-		_, res, _, _, _, err := en.runConcrete(in, parent.plan, false)
+		_, res, err := en.runConcrete(in, false)
 		if err != nil {
 			continue
 		}
@@ -184,11 +175,6 @@ func (en *Engine) breed() bool {
 		if !en.caps.WebSyscall && res.Web {
 			continue
 		}
-		// A resumed mutant's set leaves out the prefix it shares with its
-		// parent. Merging it is still exact, because every corpus
-		// entry's whole run — and through its plan, every prefix a mutant
-		// can resume from — was merged into en.cov before the entry joined
-		// the corpus (TestBreedPrefixAlreadyCovered).
 		newEdges, _ := en.cov.Merge(res.Cover)
 		cover.Global().Merge(res.Cover)
 		if res.Hit(en.target) {
@@ -201,18 +187,10 @@ func (en *Engine) breed() bool {
 		if newEdges == 0 || promoted >= maxFuzzPromote || len(en.seenInput) >= en.caps.MaxCandidates {
 			continue
 		}
-		var plan *replayPlan
-		if en.caps.Checkpoint == CheckpointAuto {
-			// The coverage-only run kept no trace to build a replay plan
-			// from; re-run the promoted mutant recording, as a round would.
-			if m, rres, _, _, _, rerr := en.runConcrete(in, parent.plan, true); rerr == nil {
-				plan = makePlan(in, rres, m.Snapshots(), parent.plan)
-			}
-		}
-		en.push(candidate{in: in, plan: plan})
+		en.push(candidate{in: in})
 		promoted++
 		en.stats.FuzzSeedsPromoted++
-		en.corpusAdd(in, plan)
+		en.corpusAdd(in)
 	}
 	return false
 }

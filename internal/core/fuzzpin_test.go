@@ -56,38 +56,3 @@ func TestCoverageFuzzOutcomePinned(t *testing.T) {
 		t.Errorf("coverage-fuzz outcome hash %#x, want %#x", got, uint64(coverageFuzzHash))
 	}
 }
-
-// TestBreedPrefixAlreadyCovered gates the invariant coverage-only fuzz
-// mutants and resumed rounds rely on: their coverage sets leave out the
-// prefix they replay from a parent's snapshot, which is exact only if
-// the parent's whole run was merged before the parent could be resumed
-// from. It checks after every merged round (and so after every breed)
-// that each corpus entry's and frontier candidate's replay plan traces
-// a run the engine's tracker already holds.
-func TestBreedPrefixAlreadyCovered(t *testing.T) {
-	for _, name := range []string{"loop", "array2", "thread", "fork", "exception", "jumptab"} {
-		b, ok := bombs.ByName(name)
-		if !ok {
-			t.Fatalf("no bomb %s", name)
-		}
-		caps := tools.AngrNoLib().Caps
-		caps.Search = core.SearchCoverage
-		caps.Fuzz = true
-		caps.Workers = 1
-		var en *core.Engine
-		checked := 0
-		caps.Progress = func(core.Progress) {
-			plans, uncovered := en.UncoveredPlanRuns()
-			checked += plans
-			if uncovered > 0 {
-				t.Errorf("%s: replay plans hold %d edges and blocks the tracker never merged", name, uncovered)
-			}
-		}
-		en = core.New(b.Image(), b.BombAddr(), caps)
-		out := en.Explore(b.Benign)
-		if out.Stats.FuzzExecs == 0 || checked == 0 {
-			t.Errorf("%s: nothing to check: %d fuzz execs, %d plans", name, out.Stats.FuzzExecs, checked)
-		}
-		t.Logf("%s: %d rounds, %d fuzz execs, %d promoted, %d plan checks", name, out.Rounds, out.Stats.FuzzExecs, out.Stats.FuzzSeedsPromoted, checked)
-	}
-}

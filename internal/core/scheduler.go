@@ -61,7 +61,6 @@ type event struct {
 	incident symexec.Incident
 	claim    Claim
 	input    target.Input // push payload, fault input, or solving input
-	plan     *replayPlan  // replay plan attached to a push
 	flipEdge cover.Edge   // coverage-scoring signal attached to a push
 	tainted  int
 	verdict  Verdict
@@ -72,16 +71,24 @@ type event struct {
 type roundRec struct {
 	idx    int // 1-based round number, assigned at dispatch
 	events []event
-	// stats is the round's counter delta (solver queries and checkpoint
-	// work), folded into the engine's at merge.
+	// stats is the round's counter delta (solver queries and copied
+	// guest pages), folded into the engine's at merge.
 	stats Stats
 
-	// Coverage payload: the run's per-trace coverage set plus the input
-	// and child plan, so the scheduler can merge coverage in dispatch
-	// order and feed the fuzz corpus deterministically.
+	// Coverage payload: the run's coverage set plus the input, so the
+	// scheduler can merge coverage in dispatch order and feed the fuzz
+	// corpus deterministically.
 	cov   *cover.Set
 	input target.Input
-	plan  *replayPlan
+}
+
+// candidate is one frontier entry: the input to try. flipEdge, set under
+// SearchCoverage, is the branch edge the candidate's model was built to
+// flip — the coverage scorer's signal (zero: no targeted flip, e.g. the
+// seed or a fuzz mutant).
+type candidate struct {
+	in       target.Input
+	flipEdge cover.Edge
 }
 
 func (r *roundRec) emit(ev event) { r.events = append(r.events, ev) }
@@ -180,7 +187,7 @@ func (en *Engine) applyRound(rec *roundRec) bool {
 		cover.Global().Merge(rec.cov)
 		en.stats.NewEdgesPerRound = append(en.stats.NewEdgesPerRound, newEdges)
 		if newEdges > 0 && en.fuzzOn() {
-			en.corpusAdd(rec.input, rec.plan)
+			en.corpusAdd(rec.input)
 		}
 	}
 	var gated map[string]bool
@@ -217,7 +224,7 @@ func (en *Engine) applyRound(rec *roundRec) bool {
 		case evMark:
 			en.seenFlip[ev.flip] = true
 		case evPush:
-			en.push(candidate{in: ev.input, plan: ev.plan, flipEdge: ev.flipEdge})
+			en.push(candidate{in: ev.input, flipEdge: ev.flipEdge})
 		case evTerminal:
 			en.out.Verdict = ev.verdict
 			en.out.CrashDetail = ev.detail
@@ -250,8 +257,8 @@ func (en *Engine) emitProgress() {
 // runRound executes one concrete run plus its symbolic pass and negation
 // solving, recording effects instead of applying them. It must not write
 // any engine state: it may run concurrently with other rounds of the same
-// batch (snapshots in the candidate's plan are quiescent and safe to
-// resume from several workers at once).
+// batch (each round's machine clones the shared program's boot memory,
+// which nothing writes).
 func (en *Engine) runRound(c candidate, idx int) *roundRec {
 	in := c.in
 	rec := &roundRec{idx: idx}
@@ -261,23 +268,14 @@ func (en *Engine) runRound(c candidate, idx int) *roundRec {
 		return rec
 	}
 
-	ckptOn := en.caps.Checkpoint == CheckpointAuto
-	m, res, prefixLen, resumed, skipped, err := en.runConcrete(in, c.plan, true)
+	m, res, err := en.runConcrete(in, true)
 	if err != nil {
 		rec.emit(event{kind: evTerminal, verdict: VerdictCrashed, detail: err.Error()})
 		return rec
 	}
-	if resumed {
-		rec.stats.CheckpointResumes = 1
-	}
-	rec.stats.InstructionsSkipped = skipped
-	rec.stats.CheckpointsTaken = len(m.Snapshots())
 	rec.stats.PagesCOWFaulted = m.COWFaults()
 	// Every concrete run feeds coverage, whatever the strategy, so the
-	// counters stay comparable across strategies. A resumed run's set
-	// leaves out its replayed prefix: that prefix is the parent's, and
-	// the parent's whole run was merged before this candidate existed
-	// (see breed), so the merged novelty is a from-scratch run's.
+	// counters stay comparable across strategies.
 	rec.cov = res.Cover
 	rec.input = in
 
@@ -343,81 +341,35 @@ func (en *Engine) runRound(c candidate, idx int) *roundRec {
 		return rec
 	}
 
-	// Constraints anchored inside the replayed prefix were derived from
-	// trace entries this round did not re-execute.
-	if resumed {
-		for i := range sr.Constraints {
-			if sr.Constraints[i].Index < prefixLen {
-				rec.stats.PrefixConstraintsReused++
-			}
-		}
-	}
-
-	var childPlan *replayPlan
-	if ckptOn {
-		childPlan = makePlan(in, res, m.Snapshots(), c.plan)
-	}
-	rec.plan = childPlan
-	en.negate(rec, in, sr, res.Trace, childPlan)
+	en.negate(rec, in, sr, res.Trace)
 	return rec
 }
 
-// runConcrete performs one concrete execution of in, resuming from the
-// deepest valid checkpoint of plan when the policy allows: restore the
-// snapshot that provably precedes this input's divergence from its
-// parent, patch the differing argv bytes, and continue on a stitched
-// copy of the shared trace prefix. Any resume failure falls back to a
-// from-scratch run — the result is identical either way. Shared by
-// concolic rounds and fuzz breed executions.
+// runConcrete performs one concrete execution of in from the program's
+// entry point, on a machine that clones the engine's loaded program.
+// Shared by concolic rounds and fuzz breed executions.
 //
 // Every run builds Result.Cover. With record off the run is
-// coverage-only: no trace, no prefix copy and no snapshots, which is all
-// a fuzz mutant needs unless it is promoted.
-func (en *Engine) runConcrete(in target.Input, plan *replayPlan, record bool) (m *gos.Machine, res *gos.Result, prefixLen int, resumed bool, skipped int64, err error) {
-	ckptOn := en.caps.Checkpoint == CheckpointAuto
+// coverage-only: no trace is kept, which is all a fuzz mutant needs.
+func (en *Engine) runConcrete(in target.Input, record bool) (*gos.Machine, *gos.Result, error) {
 	cfg := in.Config()
 	cfg.Record = record
 	cfg.Cover = true
 	cfg.CoverLeaders = en.leaders
 	cfg.MaxSteps = en.caps.StepBudget
 	cfg.WatchAddrs = []uint64{en.target}
-	if ckptOn && record {
-		cfg.SnapshotEvery = snapshotCadence(en.caps.StepBudget)
+	if en.prog == nil {
+		// The image does not decode; gos.New reports why.
+		_, err := gos.New(en.img, cfg)
+		return nil, nil, err
 	}
-	if ckptOn && plan != nil {
-		if ck := plan.best(in); ck != nil {
-			var prefix *trace.Trace
-			if record {
-				prefix = plan.trace.PrefixCopy(ck.snap.TraceLen)
-			}
-			rm, rerr := ck.snap.Resume(cfg, prefix)
-			if rerr == nil && in.Argv1 != ck.base.Argv1 {
-				rerr = rm.PatchArgv(1, in.Argv1, len(ck.base.Argv1))
-			}
-			if rerr == nil {
-				m = rm
-				prefixLen = ck.snap.TraceLen
-				resumed = true
-				skipped = int64(ck.snap.Steps)
-			}
-		}
-	}
-	if m == nil {
-		if en.prog == nil {
-			// The image does not decode; gos.New reports why.
-			_, err = gos.New(en.img, cfg)
-			return nil, nil, 0, false, 0, err
-		}
-		m = gos.NewProgram(en.prog, cfg)
-	}
-	return m, m.Run(), prefixLen, resumed, skipped, nil
+	m := gos.NewProgram(en.prog, cfg)
+	return m, m.Run(), nil
 }
 
 // negate builds and solves the negation of each explorable constraint
-// (generational search) and records the resulting inputs. childPlan, when
-// non-nil, rides along on every pushed candidate so the child round can
-// resume from this round's snapshots.
-func (en *Engine) negate(rec *roundRec, cur target.Input, sr *symexec.Result, tr *trace.Trace, childPlan *replayPlan) {
+// (generational search) and records the resulting inputs.
+func (en *Engine) negate(rec *roundRec, cur target.Input, sr *symexec.Result, tr *trace.Trace) {
 	// Forward occurrence numbering keeps flip keys stable across rounds
 	// (the n-th execution of a loop branch keeps its identity as traces
 	// lengthen).
@@ -554,6 +506,6 @@ func (en *Engine) negate(rec *roundRec, cur target.Input, sr *symexec.Result, tr
 			fe = flipEdges[i]
 		}
 		emit(event{kind: evMark, flip: flipKey})
-		emit(event{kind: evPush, flip: flipKey, input: next, plan: childPlan, flipEdge: fe})
+		emit(event{kind: evPush, flip: flipKey, input: next, flipEdge: fe})
 	}
 }

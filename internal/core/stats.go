@@ -37,12 +37,11 @@ type Stats struct {
 	InternMisses uint64 `json:"intern_misses" merge:"sum" help:"Arena lookups that allocated a new node."`
 	ArenaNodes   uint64 `json:"arena_nodes" merge:"max" help:"Distinct interned terms alive in the process arena after the call."`
 
-	// Checkpointing scheduler (DESIGN.md §12).
-	CheckpointsTaken        int    `json:"checkpoints_taken" merge:"sum" prom:"concolicd_checkpoints_taken_total" help:"Resumable machine snapshots captured across all concrete runs."`
-	CheckpointResumes       int    `json:"checkpoint_resumes" merge:"sum" prom:"concolicd_checkpoint_resumes_total" help:"Rounds started from a snapshot instead of the program entry point."`
-	InstructionsSkipped     int64  `json:"instructions_skipped" merge:"sum" prom:"concolicd_checkpoint_instructions_skipped_total" help:"Shared-prefix guest instructions resumed rounds did not re-execute."`
-	PagesCOWFaulted         uint64 `json:"pages_cow_faulted" merge:"sum" prom:"concolicd_checkpoint_cow_faults_total" help:"Guest memory pages copied on write (snapshot plus fork sharing)."`
-	PrefixConstraintsReused int    `json:"prefix_constraints_reused" merge:"sum" prom:"concolicd_checkpoint_prefix_constraints_total" help:"Path constraints derived from replayed trace prefixes."`
+	// Guest memory sharing (DESIGN.md §12). CheckpointResumes belongs to
+	// the deleted checkpointing scheduler and is always 0; it stays only
+	// because the repository benchmark still reads it.
+	CheckpointResumes int    `json:"checkpoint_resumes,omitempty" merge:"sum" help:"Always 0: kept for the repository benchmark, which still reads it; rounds always start from the program entry point."`
+	PagesCOWFaulted   uint64 `json:"pages_cow_faulted" merge:"sum" prom:"concolicd_checkpoint_cow_faults_total" help:"Guest memory pages copied on write from the boot image or from a forked parent."`
 
 	// Shared solver-cache tier (DESIGN.md §16); zero without
 	// Capabilities.SharedCache.
@@ -53,7 +52,7 @@ type Stats struct {
 
 	// Coverage and hybrid fuzzing (DESIGN.md §15). Coverage is a function
 	// of the executed traces, so it is deterministic for a fixed seed
-	// across worker counts and checkpoint policies.
+	// across worker counts.
 	CoveredEdges      int   `json:"covered_edges" merge:"sum" prom:"concolicd_cover_edges_total" help:"Distinct lifted-PC edges covered by concolic rounds and fuzz executions."`
 	CoveredBlocks     int   `json:"covered_blocks" merge:"sum" prom:"concolicd_cover_blocks_total" help:"Distinct static basic blocks covered by concolic rounds and fuzz executions."`
 	NewEdgesPerRound  []int `json:"new_edges_per_round,omitempty" merge:"run" help:"Edges each merged round covered first, in dispatch order."`

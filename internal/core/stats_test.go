@@ -54,7 +54,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	// omitempty fields vanish when zero; everything else stays.
 	raw, _ = json.Marshal(Stats{})
 	if strings.Contains(string(raw), `"workers"`) || strings.Contains(string(raw), `"new_edges_per_round"`) ||
-		!strings.Contains(string(raw), `"checkpoints_taken":0`) {
+		strings.Contains(string(raw), `"checkpoint_resumes"`) || !strings.Contains(string(raw), `"pages_cow_faulted":0`) {
 		t.Errorf("zero Stats JSON: %s", raw)
 	}
 }

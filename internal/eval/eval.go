@@ -166,22 +166,17 @@ type Options struct {
 	// cell index, so the grid is identical at every worker count; only
 	// the wall time changes.
 	Workers int
-	// Checkpoint is applied to every profile (zero value:
-	// core.CheckpointAuto). Outcomes are identical at either policy (the
-	// differential grid test asserts it); only the engine work profile —
-	// and therefore the aggregate checkpoint stats in the JSON output —
-	// changes.
-	Checkpoint core.CheckpointPolicy
 	// EngineWorkers, when > 0, overrides each profile's per-engine
 	// worker count (Capabilities.Workers); the grid-level Workers knob
 	// above is independent of it.
 	EngineWorkers int
-	// Strategy, when non-zero, overrides each profile's search strategy
-	// (the zero value keeps every profile's own default — only the
-	// Reference profile deviates from generational). The coverage
-	// differential grid test asserts labels never weaken under
-	// core.SearchCoverage.
-	Strategy core.SearchStrategy
+	// Strategy, when non-empty, is a search strategy name
+	// (core.SearchStrategyNames) that overrides each profile's own; ""
+	// keeps every profile's default — only the Reference profile deviates
+	// from generational. The coverage differential grid test asserts
+	// labels never weaken under core.SearchCoverage. An unknown name
+	// panics: frontends validate it first (cliopts.Check).
+	Strategy string
 	// Fuzz enables the hybrid mutation stage on every profile; it only
 	// takes effect under core.SearchCoverage.
 	Fuzz bool
@@ -192,13 +187,19 @@ type Options struct {
 
 // applyOptions overlays the evaluation options onto each profile.
 func applyOptions(profiles []tools.Profile, opts Options) {
+	var search core.SearchStrategy
+	if opts.Strategy != "" {
+		var err error
+		if search, err = core.ParseSearchStrategy(opts.Strategy); err != nil {
+			panic("eval: " + err.Error())
+		}
+	}
 	for i := range profiles {
-		profiles[i].Caps.Checkpoint = opts.Checkpoint
 		if opts.EngineWorkers > 0 {
 			profiles[i].Caps.Workers = opts.EngineWorkers
 		}
-		if opts.Strategy != 0 {
-			profiles[i].Caps.Search = opts.Strategy
+		if opts.Strategy != "" {
+			profiles[i].Caps.Search = search
 		}
 		profiles[i].Caps.Fuzz = opts.Fuzz
 		if opts.CoverGoal > 0 {

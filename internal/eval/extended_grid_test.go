@@ -68,9 +68,8 @@ func TestGridExtendedDeterministic(t *testing.T) {
 }
 
 // TestGridExtendedDifferential replays the extended grid under the
-// coverage-guided search with the hybrid fuzz stage and the
-// checkpointing scheduler — the full optimisation stack — against the
-// plain generational baseline, and requires every cell to
+// coverage-guided search with the hybrid fuzz stage — the full
+// optimisation stack — against the plain generational baseline, and requires every cell to
 // stay identical or strictly strengthen, exactly as the Table II
 // coverage differential does.
 func TestGridExtendedDifferential(t *testing.T) {
@@ -82,11 +81,7 @@ func TestGridExtendedDifferential(t *testing.T) {
 
 	gen := runGrid(withSearch(fast, core.SearchGenerational, false), rows, 0, false)
 
-	stacked := withSearch(fast, core.SearchCoverage, true)
-	for i := range stacked {
-		stacked[i].Caps.Checkpoint = core.CheckpointAuto
-	}
-	cov := runGrid(stacked, rows, 0, false)
+	cov := runGrid(withSearch(fast, core.SearchCoverage, true), rows, 0, false)
 
 	solved := diffCoverageLabels(t, cov, gen)
 	// The comparison would hold trivially on an all-error grid; require

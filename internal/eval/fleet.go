@@ -62,14 +62,15 @@ type fleetResult struct {
 
 var fleetHTTP = &http.Client{Timeout: 10 * time.Second}
 
-// FleetOptions shapes a fleet grid run. Only the wire-expressible
-// subset of Options applies: checkpoint policy is replica-side
-// configuration, not a per-request knob.
+// FleetOptions shapes a fleet grid run: the wire-expressible subset of
+// Options.
 type FleetOptions struct {
 	// EngineWorkers, Strategy, Fuzz, CoverGoal mirror the same Options
-	// fields and ride on each submitted job.
+	// fields and ride on each submitted job. Strategy is the wire name,
+	// as in service.Request: "" keeps each profile's default, and the
+	// replica rejects an unknown name.
 	EngineWorkers int
-	Strategy      core.SearchStrategy
+	Strategy      string
 	Fuzz          bool
 	CoverGoal     float64
 	// PollInterval paces job-completion polling (<= 0: 50ms).
@@ -134,11 +135,9 @@ func runFleetGrid(profiles []tools.Profile, wireNames []string, rows []*bombs.Bo
 				Bomb:      b.Name,
 				Tool:      wireNames[i],
 				Workers:   opts.EngineWorkers,
+				Strategy:  opts.Strategy,
 				Fuzz:      opts.Fuzz,
 				CoverGoal: opts.CoverGoal,
-			}
-			if opts.Strategy != 0 {
-				req.Strategy = opts.Strategy.String()
 			}
 			endpoint := endpoints[next%len(endpoints)]
 			next++

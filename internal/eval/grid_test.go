@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -10,19 +9,10 @@ import (
 	"repro/internal/tools"
 )
 
-// TestGridParallelMatchesSequential runs the Table II grid through the
-// worker pool at two worker counts and requires cell-for-cell identical
-// labels. Budgets are reduced to keep the test fast, but the wall-clock
-// limits are raised well past what the included bombs need, so that CPU
-// sharing between concurrent cells cannot flip a verdict: the binding
-// bounds (round cap, conflict budget) are independent of scheduling.
-// The two crypto bombs are excluded — without a wall-clock ceiling
-// their conflict-bounded queries run for minutes.
 // scrubOutcome strips the Outcome fields that legitimately differ
-// between a checkpointed and a from-scratch exploration of the same
-// cell: wall time, the checkpoint work profile itself (that difference
-// is the point), and the sym intern counters, which are deltas against
-// a process-global arena and therefore depend on what earlier grids
+// between two explorations of the same cell: wall time, copied guest
+// pages, and the sym intern counters, which are deltas against a
+// process-global arena and therefore depend on what earlier grids
 // already interned. Everything else — verdict, solving input, rounds,
 // incidents, claims, solver-query and cache counters — must be
 // byte-identical.
@@ -32,108 +22,18 @@ func scrubOutcome(o *core.Outcome) core.Outcome {
 	c.Stats.InternHits = 0
 	c.Stats.InternMisses = 0
 	c.Stats.ArenaNodes = 0
-	c.Stats.CheckpointsTaken = 0
-	c.Stats.CheckpointResumes = 0
-	c.Stats.InstructionsSkipped = 0
 	c.Stats.PagesCOWFaulted = 0
-	c.Stats.PrefixConstraintsReused = 0
 	return c
 }
 
-// diffGrids asserts cell-for-cell byte-identical scrubbed outcomes
-// between a checkpointing-on and a checkpointing-off grid, and returns
-// the on-grid's summed checkpoint work profile.
-func diffGrids(t *testing.T, on, off *Grid) (resumes int, skipped int64) {
-	t.Helper()
-	for _, b := range on.Rows {
-		for _, tool := range on.Tools {
-			co, cf := on.Cell(b.Name, tool), off.Cell(b.Name, tool)
-			if co == nil || cf == nil {
-				t.Fatalf("%s/%s: missing cell (on %v, off %v)", tool, b.Name, co != nil, cf != nil)
-			}
-			if co.Got != cf.Got {
-				t.Errorf("%s/%s: label differs: checkpointing on %s, off %s",
-					tool, b.Name, co.Got, cf.Got)
-			}
-			so, sf := scrubOutcome(co.Outcome), scrubOutcome(cf.Outcome)
-			if !reflect.DeepEqual(so, sf) {
-				t.Errorf("%s/%s: outcomes differ beyond the checkpoint work profile:\n  on:  %+v\n  off: %+v",
-					tool, b.Name, so, sf)
-			}
-			if offStats := cf.Outcome.Stats; offStats.CheckpointsTaken != 0 ||
-				offStats.CheckpointResumes != 0 || offStats.InstructionsSkipped != 0 ||
-				offStats.PrefixConstraintsReused != 0 {
-				t.Errorf("%s/%s: checkpointing off reported checkpoint work: %+v",
-					tool, b.Name, offStats)
-			}
-			resumes += co.Outcome.Stats.CheckpointResumes
-			skipped += co.Outcome.Stats.InstructionsSkipped
-		}
-	}
-	return resumes, skipped
-}
-
-// withCheckpoint returns the profiles with the given checkpoint policy.
-func withCheckpoint(profiles []tools.Profile, pol core.CheckpointPolicy) []tools.Profile {
-	out := make([]tools.Profile, len(profiles))
-	for i, p := range profiles {
-		p.Caps.Checkpoint = pol
-		out[i] = p
-	}
-	return out
-}
-
-// TestGridCheckpointDifferential is the differential replay harness: it
-// runs every Table II bomb through all four tool profiles twice — once
-// with the checkpointing scheduler and once re-executing every round
-// from _start — and requires byte-identical outcomes, down to round
-// counts and solver-query/cache counters. The two crypto bombs run in a
-// second grid with a tighter conflict budget (their conflict-bounded
-// queries would otherwise dominate the test), which is fine here: the
-// assertion is on/off equivalence under equal budgets, not agreement
-// with the paper. Budgets bind on deterministic quantities (rounds,
-// conflicts), never wall clock, exactly as in the parallel-vs-sequential
-// test above.
-func TestGridCheckpointDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential grid is slow; run without -short")
-	}
-	var fast, crypto []tools.Profile
-	for _, p := range tools.TableII() {
-		p = tools.FastBudgets(p)
-		p.Caps.TotalBudget = 2 * time.Minute
-		p.Caps.SolverTimeout = 10 * time.Second
-		fast = append(fast, p)
-		p.Caps.SolverConflicts = 192
-		crypto = append(crypto, p)
-	}
-	var rows, cryptoRows []*bombs.Bomb
-	for _, b := range bombs.TableII() {
-		if b.Name == "sha1" || b.Name == "aes" {
-			cryptoRows = append(cryptoRows, b)
-			continue
-		}
-		rows = append(rows, b)
-	}
-
-	on := runGrid(withCheckpoint(fast, core.CheckpointAuto), rows, 0, true)
-	off := runGrid(withCheckpoint(fast, core.CheckpointOff), rows, 0, true)
-	resumes, skipped := diffGrids(t, on, off)
-
-	onC := runGrid(withCheckpoint(crypto, core.CheckpointAuto), cryptoRows, 0, true)
-	offC := runGrid(withCheckpoint(crypto, core.CheckpointOff), cryptoRows, 0, true)
-	rc, sc := diffGrids(t, onC, offC)
-	resumes += rc
-	skipped += sc
-
-	// The equivalence above would hold trivially if checkpointing never
-	// engaged; require that the grid actually resumed rounds and skipped
-	// re-executing shared prefixes.
-	if resumes == 0 || skipped == 0 {
-		t.Errorf("checkpointing never engaged across the grid: resumes=%d skipped=%d", resumes, skipped)
-	}
-}
-
+// TestGridParallelMatchesSequential runs the Table II grid through the
+// worker pool at two worker counts and requires cell-for-cell identical
+// labels. Budgets are reduced to keep the test fast, but the wall-clock
+// limits are raised well past what the included bombs need, so that CPU
+// sharing between concurrent cells cannot flip a verdict: the binding
+// bounds (round cap, conflict budget) are independent of scheduling.
+// The two crypto bombs are excluded — without a wall-clock ceiling
+// their conflict-bounded queries run for minutes.
 func TestGridParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid comparison is slow; run without -short")

@@ -50,8 +50,7 @@ type Config struct {
 	// consecutive PCs of each thread and the executed blocks, the same
 	// set cover.FromTrace folds from a recorded trace. With Record off
 	// this is the AFL-style coverage-only mode fuzz mutants run in: no
-	// per-instruction trace is kept. A resumed run's set holds only what
-	// it executed after the snapshot, boundary edges included.
+	// per-instruction trace is kept.
 	Cover bool
 	// CoverLeaders restricts Result.Cover's blocks to these PCs, as
 	// cover.FromTrace's leaders do (nil: every executed PC).
@@ -59,10 +58,6 @@ type Config struct {
 	// WatchAddrs lists instruction addresses whose execution should be
 	// reported in Result.Watched (the directed-search target check).
 	WatchAddrs []uint64
-	// SnapshotEvery takes a resumable machine snapshot roughly every N
-	// executed instructions, at the next scheduler-slice boundary
-	// (0 = never). Snapshots are retrieved with Machine.Snapshots.
-	SnapshotEvery int
 }
 
 // Defaults for Config zero values.
@@ -105,7 +100,6 @@ type Result struct {
 	// Faulted reports that some executed instruction raised an exception
 	// and Web that one was a web_get system call: what a recorded trace
 	// would show as an entry with Exc set, or with Sys.Num SysWebGet.
-	// Both include a resumed run's snapshotted prefix.
 	Faulted bool
 	Web     bool
 }
@@ -138,21 +132,6 @@ type Machine struct {
 	web     bool       // some recorded entry is a web_get syscall
 	watched map[uint64]bool
 	steps   int
-
-	snaps    []*Snapshot
-	lastSnap int // step count at the most recent snapshot
-
-	// Rolling pre-input snapshot: re-taken every few steps while the
-	// trace has not yet observed any input surface, then frozen — the
-	// deepest machine state valid as a replay start for inputs that
-	// differ from this run's in any way (see rollEarly).
-	early     *Snapshot
-	earlyDone bool
-	earlyScan int // trace cursor of the input-surface scan
-
-	sliceN     int  // steps executed in the in-progress scheduler slice
-	sliceLeft  int  // resumed runs: remaining quantum of the interrupted slice
-	resumePick bool // resumed runs: first slice goes to threads[cur] unpruned
 
 	stopped bool
 	reason  StopReason
@@ -240,9 +219,10 @@ func New(img *bin.Image, cfg Config) (*Machine, error) {
 	return NewProgram(prog, cfg), nil
 }
 
-// NewProgram creates a machine for an already decoded program under the
-// given configuration. A caller that runs one image many times decodes
-// it once and shares the program: it is read-only after load.
+// NewProgram creates a machine for an already loaded program under the
+// given configuration. A caller that runs one image many times loads it
+// once and shares the program: it is read-only after load, and each
+// machine starts from a copy-on-write clone of its boot memory.
 func NewProgram(prog *vm.Program, cfg Config) *Machine {
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = DefaultMaxSteps
@@ -277,14 +257,17 @@ func NewProgram(prog *vm.Program, cfg Config) *Machine {
 	for _, a := range cfg.WatchAddrs {
 		m.watched[a] = false
 	}
-	m.loadRoot(prog.Image)
+	m.loadRoot()
 	return m
 }
 
-func (m *Machine) loadRoot(img *bin.Image) {
+// loadRoot creates the root process on a clone of the boot memory and
+// writes only what depends on the configuration: the argv block and the
+// exit sentinel under the initial stack pointer.
+func (m *Machine) loadRoot() {
 	p := &proc{
 		pid:       m.nextPID,
-		mem:       mem.New(),
+		mem:       m.prog.Memory(),
 		fds:       make(map[int]*fdesc),
 		nextFD:    3,
 		nextStack: bin.StackTop - threadStackSize,
@@ -293,9 +276,6 @@ func (m *Machine) loadRoot(img *bin.Image) {
 	p.fds[0] = &fdesc{kind: fdStdin}
 	p.fds[1] = &fdesc{kind: fdStdout}
 	p.fds[2] = &fdesc{kind: fdStdout}
-	for _, sec := range img.Sections {
-		p.mem.Write(sec.Addr, sec.Data)
-	}
 
 	// Build the argv block: pointer array at ArgBase, strings after it.
 	argc := len(m.cfg.Argv)
@@ -313,7 +293,7 @@ func (m *Machine) loadRoot(img *bin.Image) {
 	}
 	p.mem.WriteUint(bin.ArgBase+uint64(8*argc), 8, 0) //nolint:errcheck // size 8 is valid
 
-	cpu := &vm.CPU{PC: img.Entry}
+	cpu := &vm.CPU{PC: m.prog.Image.Entry}
 	cpu.SetSP(bin.StackTop - 8)
 	p.mem.WriteUint(cpu.SP(), 8, vm.ExitThreadPC) //nolint:errcheck // size 8 is valid
 	cpu.Regs[1] = uint64(argc)
@@ -331,7 +311,8 @@ func (m *Machine) ArgvRegions() []Region { return m.argv }
 
 // COWFaults sums the copy-on-write page faults across the memories of
 // all processes in the machine — how many guest pages were copied
-// because a write hit a page shared with a snapshot or a forked child.
+// because a write hit a page shared with the boot memory or with a
+// forked parent or child.
 func (m *Machine) COWFaults() uint64 {
 	var n uint64
 	for _, p := range m.procs {
@@ -346,23 +327,12 @@ func (m *Machine) Program() *vm.Program { return m.prog }
 // Run executes the machine to completion and returns the result.
 func (m *Machine) Run() *Result {
 	for !m.stopped {
-		var t *thread
-		if m.resumePick {
-			// First slice after a mid-slice resume: continue the
-			// interrupted thread directly. pickThread would prune dead
-			// threads now, but the snapshotted run prunes only at its next
-			// boundary, and the round-robin position depends on it.
-			m.resumePick = false
-			t = m.threads[m.cur]
-		} else {
-			t = m.pickThread()
-		}
+		t := m.pickThread()
 		if t == nil {
 			m.stop(StopDeadlock, 0)
 			break
 		}
 		m.runSlice(t)
-		m.maybeSnapshot()
 	}
 	res := &Result{
 		Reason:     m.reason,
@@ -405,27 +375,11 @@ func (m *Machine) pickThread() *thread {
 
 // runSlice runs one scheduler quantum on thread t.
 func (m *Machine) runSlice(t *thread) {
-	// A machine resumed from a mid-slice snapshot finishes the interrupted
-	// slice first (sliceLeft steps), so its future slice boundaries — and
-	// with them the thread round-robin — land exactly where the
-	// snapshotted run's would.
-	quantum := m.cfg.Quantum
-	if m.sliceLeft > 0 {
-		quantum = m.sliceLeft
-		m.sliceLeft = 0
-	}
 	var e trace.Entry // refilled in place by every step
-	for n := 0; n < quantum && !m.stopped && !t.dead && t.block.kind == blockNone; n++ {
+	for n := 0; n < m.cfg.Quantum && !m.stopped && !t.dead && t.block.kind == blockNone; n++ {
 		if m.steps >= m.cfg.MaxSteps {
 			m.stop(StopMaxSteps, 0)
 			return
-		}
-		m.sliceN = m.cfg.Quantum - quantum + n
-		if m.cfg.SnapshotEvery > 0 && (!m.earlyDone || m.steps <= earlySnapBound) {
-			// Between instructions the machine is just as quiescent as
-			// between slices; early snapshots need this finer granularity
-			// because input is typically read within the first slice.
-			m.earlySnapshots()
 		}
 		m.steps++
 		for _, a := range m.cfg.WatchAddrs {
@@ -456,7 +410,6 @@ func (m *Machine) runSlice(t *thread) {
 		}
 		m.record(t, &e)
 	}
-	m.sliceN = 0
 	m.cur = (m.cur + 1) % maxInt(len(m.threads), 1)
 }
 

@@ -7,10 +7,9 @@ import (
 	"repro/internal/isa"
 )
 
-// The symbolic pass lifts every trace entry of every round, and with the
-// checkpointing scheduler the bulk of those entries belong to a shared
-// prefix that was already lifted — possibly thousands of times — by
-// earlier rounds. Lifting is a pure function of (instruction, fall-through
+// The symbolic pass lifts every trace entry of every round, and the bulk
+// of those entries belong to a shared prefix that was already lifted —
+// possibly thousands of times — by earlier rounds. Lifting is a pure function of (instruction, fall-through
 // PC, options), so a process-wide memo table turns all of that repeat
 // work into a map hit. Callers must treat the returned statement slice
 // as immutable; the symbolic executor only evaluates statements, never

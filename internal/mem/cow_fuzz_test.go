@@ -188,8 +188,8 @@ func BenchmarkMemClone(b *testing.B) {
 }
 
 // BenchmarkMemCloneWriteFault measures a clone plus one COW fault — the
-// realistic per-checkpoint-resume cost: share everything, then pay for
-// the single page the resumed run actually dirties first.
+// realistic per-machine boot cost: share everything, then pay for the
+// single page the new run actually dirties first.
 func BenchmarkMemCloneWriteFault(b *testing.B) {
 	m := New()
 	for i := 0; i < 256; i++ {

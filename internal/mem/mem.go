@@ -7,7 +7,8 @@
 // parent (bumping a per-page refcount) and the first write to a shared
 // page copies just that page. Cloning is therefore O(allocated pages) in
 // pointer bookkeeping and O(1) in page data for untouched pages, which is
-// what makes engine checkpoints and fork() cheap.
+// what makes starting a machine from a loaded program's boot memory, and
+// fork(), cheap.
 //
 // Concurrency contract: a quiescent Memory (no writer running) may be
 // cloned by any number of goroutines concurrently, and sibling clones may
@@ -50,8 +51,9 @@ func New() *Memory {
 
 // Clone returns a copy-on-write snapshot of the memory. The clone shares
 // every page with the receiver until one side writes to it; only then is
-// that single page copied. Used to implement fork() and engine
-// checkpoints. A quiescent memory may be cloned concurrently.
+// that single page copied. Used to start every machine from its
+// program's boot memory and to implement fork(). A quiescent memory may
+// be cloned concurrently.
 func (m *Memory) Clone() *Memory {
 	c := &Memory{pages: make(map[uint64]*page, len(m.pages))}
 	for base, p := range m.pages {

@@ -105,12 +105,15 @@ func TestResultDecodesParentWireShape(t *testing.T) {
 		`"peak_frontier":6,"wall_ms":1234,"portfolio_races":7,"portfolio_clauses_shared":8,` +
 		`"warmstart_query_hits":1,"warmstart_clauses_seeded":10,"covered_edges":40,` +
 		`"covered_blocks":20,"fuzz_execs":48,"fuzz_seeds_promoted":3,"sharedcache_hits":11,` +
-		`"sharedcache_misses":12,"sharedcache_stores":13,"sharedcache_served":14}}`
+		`"sharedcache_misses":12,"sharedcache_stores":13,"sharedcache_served":14,` +
+		`"checkpoints_taken":15,"checkpoint_resumes":2,"instructions_skipped":16,` +
+		`"pages_cow_faulted":17,"prefix_constraints_reused":18}}`
 	want := Result{Verdict: "solved", Rounds: 3, Input: &SolvedInput{Argv1: "7"}}
 	want.Stats = core.Stats{Workers: 2, SolverQueries: 9, CacheHits: 4, CacheMisses: 5,
 		PeakFrontier: 6, WallTime: 1234 * time.Millisecond,
 		CoveredEdges: 40, CoveredBlocks: 20, FuzzExecs: 48, FuzzSeedsPromoted: 3,
-		SharedCacheHits: 11, SharedCacheMisses: 12, SharedCacheStores: 13, SharedCacheServed: 14}
+		SharedCacheHits: 11, SharedCacheMisses: 12, SharedCacheStores: 13, SharedCacheServed: 14,
+		CheckpointResumes: 2, PagesCOWFaulted: 17}
 	for _, doc := range []string{old, `{"verdict":"unreachable","label":"","rounds":0,"stats":{"workers":1,"solver_queries":0,"cache_hits":0,"cache_misses":0,"peak_frontier":1,"wall_ms":0}}`} {
 		var got Result
 		if err := json.Unmarshal([]byte(doc), &got); err != nil {

@@ -343,11 +343,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		{"concolicd_solver_cache_hits_total", "counter"},
 		{"concolicd_solver_cache_misses_total", "counter"},
 		{"concolicd_solver_cache_hit_ratio", "gauge"},
-		{"concolicd_checkpoints_taken_total", "counter"},
-		{"concolicd_checkpoint_resumes_total", "counter"},
-		{"concolicd_checkpoint_instructions_skipped_total", "counter"},
 		{"concolicd_checkpoint_cow_faults_total", "counter"},
-		{"concolicd_checkpoint_prefix_constraints_total", "counter"},
 		{"concolicd_sharedcache_hits_total", "counter"},
 		{"concolicd_sharedcache_misses_total", "counter"},
 		{"concolicd_sharedcache_stores_total", "counter"},

@@ -35,17 +35,23 @@ func (c *CPU) SP() uint64 { return c.Regs[isa.SP] }
 // SetSP sets the stack pointer.
 func (c *CPU) SetSP(v uint64) { c.Regs[isa.SP] = v }
 
-// Program is a decoded binary image: a dense table with one slot per
+// Program is a loaded binary image: a dense table with one slot per
 // byte of text, indexed by pc - base, holding the instruction that starts
-// at that address. LB64 text is immutable after load, so decoding once up
-// front is sound (self-modifying code is out of scope). A slot whose len
-// is zero starts no instruction, so a jump into the middle of one faults
-// exactly like a jump outside the text.
+// at that address, plus the boot memory holding every section's bytes.
+// LB64 text is immutable after load, so decoding once up front is sound
+// (self-modifying code is out of scope). A slot whose len is zero starts
+// no instruction, so a jump into the middle of one faults exactly like a
+// jump outside the text.
+//
+// A Program is read-only after load: the boot memory is never written
+// again, and machines start from copy-on-write clones of it (Memory), so
+// any number of goroutines may share one Program.
 type Program struct {
 	Image *bin.Image
 	base  uint64
 	code  []decoded
 	n     int
+	boot  *mem.Memory
 }
 
 type decoded struct {
@@ -53,13 +59,14 @@ type decoded struct {
 	len   uint8 // 0: no instruction starts here
 }
 
-// LoadProgram decodes the text section of an image.
+// LoadProgram decodes the text section of an image and writes every
+// section into the program's boot memory.
 func LoadProgram(img *bin.Image) (*Program, error) {
 	sec, ok := img.Section(".text")
 	if !ok {
 		return nil, fmt.Errorf("vm: image has no .text section")
 	}
-	p := &Program{Image: img, base: sec.Addr, code: make([]decoded, len(sec.Data))}
+	p := &Program{Image: img, base: sec.Addr, code: make([]decoded, len(sec.Data)), boot: mem.New()}
 	off := 0
 	for off < len(sec.Data) {
 		in, n, err := isa.Decode(sec.Data[off:])
@@ -70,8 +77,15 @@ func LoadProgram(img *bin.Image) (*Program, error) {
 		p.n++
 		off += n
 	}
+	for _, sec := range img.Sections {
+		p.boot.Write(sec.Addr, sec.Data)
+	}
 	return p, nil
 }
+
+// Memory returns a copy-on-write clone of the boot memory: the image's
+// sections as loaded, sharing every page until the clone writes to it.
+func (p *Program) Memory() *mem.Memory { return p.boot.Clone() }
 
 // lookup returns the slot of the instruction starting at addr, or nil.
 func (p *Program) lookup(addr uint64) *decoded {
