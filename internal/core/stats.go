@@ -37,9 +37,7 @@ type Stats struct {
 	InternMisses uint64 `json:"intern_misses" merge:"sum" help:"Arena lookups that allocated a new node."`
 	ArenaNodes   uint64 `json:"arena_nodes" merge:"max" help:"Distinct interned terms alive in the process arena after the call."`
 
-	// Guest memory sharing (DESIGN.md §12). CheckpointResumes belongs to
-	// the deleted checkpointing scheduler and is always 0; it stays only
-	// because the repository benchmark still reads it.
+	// Guest memory sharing (DESIGN.md §12).
 	CheckpointResumes int    `json:"checkpoint_resumes,omitempty" merge:"sum" help:"Always 0: kept for the repository benchmark, which still reads it; rounds always start from the program entry point."`
 	PagesCOWFaulted   uint64 `json:"pages_cow_faulted" merge:"sum" prom:"concolicd_checkpoint_cow_faults_total" help:"Guest memory pages copied on write from the boot image or from a forked parent."`
 

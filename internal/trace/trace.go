@@ -150,23 +150,6 @@ func (t *Trace) Append(e Entry) {
 // Len returns the number of recorded entries.
 func (t *Trace) Len() int { return len(t.Entries) }
 
-// PrefixCopy returns a new trace seeded with value copies of the first n
-// entries, taint marks cleared. The taint stage mutates entries in place,
-// so a resumed run stitched onto a shared prefix must not alias the
-// parent's entry slice; the Sys/Exc event records are immutable after
-// recording and stay shared.
-func (t *Trace) PrefixCopy(n int) *Trace {
-	if n > len(t.Entries) {
-		n = len(t.Entries)
-	}
-	c := &Trace{Entries: make([]Entry, n, n+64)}
-	copy(c.Entries, t.Entries[:n])
-	for i := range c.Entries {
-		c.Entries[i].Tainted = false
-	}
-	return c
-}
-
 // TaintedCount returns how many entries the taint stage marked.
 func (t *Trace) TaintedCount() int {
 	n := 0
