@@ -41,10 +41,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, msg+" (run cmd/bombs for the list)")
 		os.Exit(1)
 	}
-	p, ok := tools.ByName(*tool)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "concolic: unknown tool %q (choose from %s)\n",
-			*tool, strings.Join(tools.Names(), ", "))
+	p, err := tools.Lookup(*tool)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "concolic: %v\n", err)
 		os.Exit(1)
 	}
 
@@ -55,12 +54,11 @@ func main() {
 		defer cancel()
 	}
 
-	res, err := opts.Resolve(cliopts.FlagDialect)
-	if err != nil {
+	if err := opts.Check(cliopts.FlagDialect); err != nil {
 		fmt.Fprintf(os.Stderr, "concolic: %v\n", err)
 		os.Exit(2)
 	}
-	res.Apply(&p.Caps)
+	opts.Apply(&p.Caps)
 	en := core.New(b.Image(), b.BombAddr(), p.Caps)
 	out := en.ExploreContext(ctx, b.Benign)
 

@@ -46,18 +46,16 @@ func main() {
 		return
 	}
 
-	p, ok := tools.ByName(*tool)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "congolic: unknown tool %q (choose from %s)\n",
-			*tool, strings.Join(tools.Names(), ", "))
+	p, err := tools.Lookup(*tool)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "congolic: %v\n", err)
 		os.Exit(1)
 	}
-	res, err := opts.Resolve(cliopts.FlagDialect)
-	if err != nil {
+	if err := opts.Check(cliopts.FlagDialect); err != nil {
 		fmt.Fprintf(os.Stderr, "congolic: %v\n", err)
 		os.Exit(2)
 	}
-	res.Apply(&p.Caps)
+	opts.Apply(&p.Caps)
 
 	ctx := context.Background()
 	if *timeout > 0 {

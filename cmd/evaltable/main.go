@@ -5,6 +5,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -28,10 +29,10 @@ func main() {
 	fleet := flag.String("fleet", "",
 		"comma-separated concolicd base URLs; the Table II grid runs as fleet jobs instead of in-process engines")
 	all := flag.Bool("all", false, "render everything")
-	opts := cliopts.Register(flag.CommandLine)
+	opts := registerOptions(flag.CommandLine)
 	flag.Parse()
 
-	res, err := opts.Resolve(cliopts.FlagDialect)
+	engine, err := engineOptions(*opts, *fleet != "")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "evaltable: %v\n", err)
 		os.Exit(2)
@@ -48,19 +49,14 @@ func main() {
 			if *extended {
 				run = eval.RunTableIIExtendedFleet
 			}
-			g, err := run(eval.FleetOptions{
-				Strategy: opts.Strategy, Fuzz: res.Fuzz, CoverGoal: res.CoverGoal,
-			}, endpoints)
+			g, err := run(engine, endpoints)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "evaltable: %v\n", err)
 				os.Exit(1)
 			}
 			return g
 		}
-		eopts := eval.Options{
-			Workers:  res.Workers,
-			Strategy: opts.Strategy, Fuzz: res.Fuzz, CoverGoal: res.CoverGoal,
-		}
+		eopts := eval.Options{Workers: opts.Workers, Engine: engine}
 		if *extended {
 			return eval.RunTableIIExtended(eopts)
 		}
@@ -113,4 +109,29 @@ func main() {
 			fmt.Printf("%-10s %-8s rounds=%-3d input=%q\n", r.Bomb, string(r.Outcome), r.Rounds, r.Input.Argv1)
 		}
 	}
+}
+
+// registerOptions defines the shared option cluster with evaltable's
+// reading of -workers: it fans grid cells, while each cell's engine keeps
+// its profile's worker count.
+func registerOptions(fs *flag.FlagSet) *cliopts.Options {
+	opts := cliopts.Register(fs)
+	fs.Lookup("workers").Usage = "grid cells evaluated concurrently (0 = all CPUs, 1 = sequential); " +
+		"each cell's engine keeps its profile's worker count"
+	return opts
+}
+
+// engineOptions checks the parsed cluster and returns the part that
+// rides on every cell's engine: everything but -workers, which is the
+// grid fan-out. A fleet grid has no in-process cells to fan, so -workers
+// there is a usage error rather than a silently dropped value.
+func engineOptions(opts cliopts.Options, fleet bool) (cliopts.Options, error) {
+	if err := opts.Check(cliopts.FlagDialect); err != nil {
+		return cliopts.Options{}, err
+	}
+	if fleet && opts.Workers != 0 {
+		return cliopts.Options{}, errors.New("-workers fans in-process grid cells and cannot be combined with -fleet")
+	}
+	opts.Workers = 0
+	return opts, nil
 }

@@ -1,11 +1,13 @@
-// Package cliopts centralizes the engine-tuning option cluster that
-// every frontend exposes — cmd/concolic, cmd/evaltable, cmd/congolic,
-// and concolicd's job API. One Register call defines the flags with one
-// set of help texts, one Check enforces the cross-field rules (fuzz
-// needs the coverage strategy, cover-goal range), and one Resolve turns
-// the raw values into engine-ready capabilities.
-// Before this package each frontend re-implemented the cluster by hand
-// and the error dialects had started to drift.
+// Package cliopts declares the engine option cluster — workers, search
+// strategy, fuzzing and the coverage goal — once, for every frontend:
+// cmd/concolic, cmd/congolic, cmd/evaltable, the eval grid and fleet
+// runners, and concolicd's job API. Options is the only declaration of
+// the four fields; its JSON tags are the job API's wire keys, so
+// service.Request, service.View and the fleet client embed it instead
+// of repeating them. Register defines the flags with one set of help
+// texts, Check enforces the cross-field rules (fuzz needs the coverage
+// strategy, cover-goal range) in a CLI or wire dialect, and Apply is the
+// one overlay of the cluster onto a tool profile's capabilities.
 package cliopts
 
 import (
@@ -16,13 +18,14 @@ import (
 	"repro/internal/core"
 )
 
-// Options is the raw option cluster as read from flags or a job request.
-// String fields keep their wire form; Resolve validates and converts.
+// Options is the option cluster as read from flags, a grid run or a job
+// request. Strategy keeps its wire name; zero values keep the profile's
+// defaults.
 type Options struct {
-	Workers   int
-	Strategy  string // core.SearchStrategyNames ("" = profile default)
-	Fuzz      bool
-	CoverGoal float64
+	Workers   int     `json:"workers,omitempty"`
+	Strategy  string  `json:"strategy,omitempty"` // core.SearchStrategyNames ("" = profile default)
+	Fuzz      bool    `json:"fuzz,omitempty"`
+	CoverGoal float64 `json:"cover_goal,omitempty"`
 }
 
 // Register defines the shared flag cluster on fs and returns the
@@ -59,7 +62,7 @@ func WireDialect(n string) string { return strings.ReplaceAll(n, "-", "_") }
 // Check enforces the cross-field rules shared by every frontend. Name
 // parses are checked first so an unknown search strategy surfaces as the
 // uniform suggestion error rather than a confusing combination error.
-func Check(o Options, d Dialect) error {
+func (o Options) Check(d Dialect) error {
 	if o.Workers < 0 {
 		return fmt.Errorf("%s must be non-negative", d("workers"))
 	}
@@ -76,40 +79,26 @@ func Check(o Options, d Dialect) error {
 	return nil
 }
 
-// Resolved is the validated, engine-ready form of the cluster.
-type Resolved struct {
-	Workers     int
-	Strategy    core.SearchStrategy
-	StrategySet bool // explicit -strategy; false keeps the profile default
-	Fuzz        bool
-	CoverGoal   float64
-}
-
-// Resolve checks the cluster and converts it.
-func (o Options) Resolve(d Dialect) (*Resolved, error) {
-	if err := Check(o, d); err != nil {
-		return nil, err
+// Apply overlays the cluster onto a tool profile's capabilities. Zero
+// fields (no workers, no strategy name, no fuzz, no cover goal) leave
+// the profile's defaults intact; an explicit "generational" still
+// overrides a profile that defaults to another strategy. Call Check
+// first: an unknown strategy name panics.
+func (o Options) Apply(caps *core.Capabilities) {
+	if o.Workers > 0 {
+		caps.Workers = o.Workers
 	}
-	r := &Resolved{Workers: o.Workers, Fuzz: o.Fuzz, CoverGoal: o.CoverGoal}
 	if o.Strategy != "" {
-		r.Strategy, _ = core.ParseSearchStrategy(o.Strategy)
-		r.StrategySet = true
+		s, err := core.ParseSearchStrategy(o.Strategy)
+		if err != nil {
+			panic("cliopts: " + err.Error())
+		}
+		caps.Search = s
 	}
-	return r, nil
-}
-
-// Apply overlays the resolved cluster onto a tool profile's
-// capabilities. Unset fields (no explicit strategy, zero cover goal)
-// leave the profile's defaults intact.
-func (r *Resolved) Apply(caps *core.Capabilities) {
-	caps.Workers = r.Workers
-	if r.StrategySet {
-		caps.Search = r.Strategy
-	}
-	if r.Fuzz {
+	if o.Fuzz {
 		caps.Fuzz = true
 	}
-	if r.CoverGoal != 0 {
-		caps.CoverGoal = r.CoverGoal
+	if o.CoverGoal > 0 {
+		caps.CoverGoal = o.CoverGoal
 	}
 }

@@ -20,13 +20,13 @@ func parse(t *testing.T, argv ...string) *Options {
 	return o
 }
 
-func TestResolveDefaults(t *testing.T) {
-	res, err := parse(t).Resolve(FlagDialect)
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
+func TestRegisterDefaults(t *testing.T) {
+	o := parse(t)
+	if *o != (Options{}) {
+		t.Errorf("unexpected defaults: %+v", *o)
 	}
-	if res.StrategySet || res.Fuzz || res.CoverGoal != 0 {
-		t.Errorf("unexpected defaults: %+v", res)
+	if err := o.Check(FlagDialect); err != nil {
+		t.Errorf("defaults rejected: %v", err)
 	}
 	// The engine has one solver mode and runs every round from the entry
 	// point, so the cluster has neither a -solver nor a -checkpoint flag.
@@ -48,11 +48,7 @@ func TestApplyKeepsProfileDefaults(t *testing.T) {
 		t.Fatal("no reference profile")
 	}
 	wantSearch := p.Caps.Search
-	res, err := parse(t, "-workers", "2").Resolve(FlagDialect)
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
-	res.Apply(&p.Caps)
+	parse(t, "-workers", "2").Apply(&p.Caps)
 	if p.Caps.Workers != 2 {
 		t.Errorf("explicit fields not applied: %+v", p.Caps)
 	}
@@ -60,12 +56,8 @@ func TestApplyKeepsProfileDefaults(t *testing.T) {
 		t.Errorf("profile search default clobbered: %v -> %v", wantSearch, p.Caps.Search)
 	}
 
-	res2, err := parse(t, "-strategy", "dfs").Resolve(FlagDialect)
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
-	res2.Apply(&p.Caps)
-	if p.Caps.Search != core.SearchDFS {
+	parse(t, "-strategy", "generational").Apply(&p.Caps)
+	if p.Caps.Search != core.SearchGenerational {
 		t.Errorf("explicit strategy not applied: %v", p.Caps.Search)
 	}
 }
@@ -86,7 +78,7 @@ func TestCheckCrossFieldRules(t *testing.T) {
 		{"goal ok", Options{CoverGoal: 0.5}, ""},
 	}
 	for _, c := range cases {
-		err := Check(c.o, FlagDialect)
+		err := c.o.Check(FlagDialect)
 		if c.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", c.name, err)
@@ -101,11 +93,11 @@ func TestCheckCrossFieldRules(t *testing.T) {
 
 // TestWireDialect pins the job-API rendering of the same rules.
 func TestWireDialect(t *testing.T) {
-	err := Check(Options{Fuzz: true}, WireDialect)
+	err := Options{Fuzz: true}.Check(WireDialect)
 	if err == nil || err.Error() != "fuzz requires strategy=coverage" {
 		t.Errorf("fuzz error = %v", err)
 	}
-	err = Check(Options{CoverGoal: 2}, WireDialect)
+	err = Options{CoverGoal: 2}.Check(WireDialect)
 	if err == nil || !strings.HasPrefix(err.Error(), "cover_goal must be in (0, 1]") {
 		t.Errorf("cover_goal error = %v", err)
 	}

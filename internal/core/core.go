@@ -66,20 +66,16 @@ type Capabilities struct {
 	// FuzzSeed seeds the deterministic mutation stream (any value,
 	// including 0, is a valid fixed seed).
 	FuzzSeed int64
-	// FuzzExecs bounds concrete mutation executions per breed round
-	// (<= 0: DefaultFuzzExecs).
-	FuzzExecs int
 
 	// CoverGoal, in (0, 1], stops exploration early once that fraction of
 	// the image's static basic blocks has been covered
 	// (VerdictCoverGoal, paper outcome E: the analysis was cut short).
 	CoverGoal float64
 
-	// MaxRounds bounds concrete executions; MaxCandidates bounds queued
-	// inputs. StepBudget bounds each concrete run.
-	MaxRounds     int
-	MaxCandidates int
-	StepBudget    int
+	// MaxRounds bounds concrete executions. StepBudget bounds each
+	// concrete run.
+	MaxRounds  int
+	StepBudget int
 
 	// WebSyscall false makes the engine abort (E) when the trace performs
 	// network IO the emulation layer cannot handle.
@@ -95,10 +91,6 @@ type Capabilities struct {
 	// candidates in parallel batches with deterministic verdicts (see
 	// scheduler.go).
 	Workers int
-
-	// SolverCacheSize bounds the engine's solver query cache
-	// (<= 0: solver.DefaultCacheSize).
-	SolverCacheSize int
 
 	// SharedCache, when non-nil, backs the engine's solver query cache
 	// with a persistent tier shared across replicas (see
@@ -196,11 +188,11 @@ func ParseSearchStrategy(name string) (SearchStrategy, error) {
 // Defaults.
 const (
 	DefaultMaxRounds     = 48
-	DefaultMaxCandidates = 256
+	DefaultMaxCandidates = 256 // inputs ever queued per engine
 	DefaultMaxArgvLen    = 24
 	DefaultStepBudget    = 400_000
 	DefaultTotalBudget   = 60 * time.Second
-	DefaultFuzzExecs     = 48
+	DefaultFuzzExecs     = 48 // mutant runs per breed round
 )
 
 // Verdict is the engine's conclusion about the target.
@@ -347,9 +339,6 @@ func New(img *bin.Image, target uint64, caps Capabilities) *Engine {
 	if caps.MaxRounds <= 0 {
 		caps.MaxRounds = DefaultMaxRounds
 	}
-	if caps.MaxCandidates <= 0 {
-		caps.MaxCandidates = DefaultMaxCandidates
-	}
 	if caps.MaxArgvLen <= 0 {
 		caps.MaxArgvLen = DefaultMaxArgvLen
 	}
@@ -358,9 +347,6 @@ func New(img *bin.Image, target uint64, caps Capabilities) *Engine {
 	}
 	if caps.TotalBudget <= 0 {
 		caps.TotalBudget = DefaultTotalBudget
-	}
-	if caps.FuzzExecs <= 0 {
-		caps.FuzzExecs = DefaultFuzzExecs
 	}
 	workers := caps.ResolvedWorkers()
 	// The loaded program is what every round's machine starts from, and
@@ -399,7 +385,7 @@ func New(img *bin.Image, target uint64, caps Capabilities) *Engine {
 // newEngineCache builds the engine's query cache, backed by the
 // caller's shared tier when one is configured.
 func newEngineCache(caps Capabilities) *solver.Cache {
-	c := solver.NewCache(caps.SolverCacheSize)
+	c := solver.NewCache(solver.DefaultCacheSize)
 	if caps.SharedCache != nil {
 		c.SetShared(caps.SharedCache)
 	}
@@ -545,7 +531,7 @@ func min(a, b int) int {
 
 func (en *Engine) push(c candidate) {
 	key := inputKey(c.in)
-	if en.seenInput[key] || len(en.seenInput) >= en.caps.MaxCandidates {
+	if en.seenInput[key] || len(en.seenInput) >= DefaultMaxCandidates {
 		return
 	}
 	en.seenInput[key] = true

@@ -47,7 +47,7 @@ const (
 	// fuzzing cannot flood MaxRounds and starve the targeted flips.
 	maxFuzzPromote = 8
 	// fuzzAttemptFactor bounds mutation attempts (including dedup skips)
-	// per breed round, as a multiple of FuzzExecs.
+	// per breed round, as a multiple of DefaultFuzzExecs.
 	fuzzAttemptFactor = 4
 )
 
@@ -124,11 +124,12 @@ func (en *Engine) corpusAdd(in target.Input) {
 	en.corpusIdx++
 }
 
-// breed runs one mutation round: up to FuzzExecs concrete executions of
-// deterministic mutants, merged into coverage, with new-coverage
-// survivors promoted into the frontier. Returns true when a mutant
-// detonated the target (VerdictSolved — legitimately, since detonation
-// is observed in a concrete run). Runs on the engine thread only.
+// breed runs one mutation round: up to DefaultFuzzExecs concrete
+// executions of deterministic mutants, merged into coverage, with
+// new-coverage survivors promoted into the frontier. Returns true when
+// a mutant detonated the target (VerdictSolved — legitimately, since
+// detonation is observed in a concrete run). Runs on the engine thread
+// only.
 func (en *Engine) breed() bool {
 	if !en.fuzzOn() || len(en.corpus) == 0 {
 		return false
@@ -141,7 +142,7 @@ func (en *Engine) breed() bool {
 		splice[i] = en.corpus[i].Argv1
 	}
 	promoted, runs := 0, 0
-	for attempts := 0; runs < en.caps.FuzzExecs && attempts < en.caps.FuzzExecs*fuzzAttemptFactor; attempts++ {
+	for attempts := 0; runs < DefaultFuzzExecs && attempts < DefaultFuzzExecs*fuzzAttemptFactor; attempts++ {
 		if en.ctx.Err() != nil || time.Now().After(en.deadline) {
 			return false
 		}
@@ -184,7 +185,7 @@ func (en *Engine) breed() bool {
 		}
 		// Promote only what push would keep: the mutant is not in
 		// seenInput (checked above), so only the candidate cap can drop it.
-		if newEdges == 0 || promoted >= maxFuzzPromote || len(en.seenInput) >= en.caps.MaxCandidates {
+		if newEdges == 0 || promoted >= maxFuzzPromote || len(en.seenInput) >= DefaultMaxCandidates {
 			continue
 		}
 		en.push(candidate{in: in})

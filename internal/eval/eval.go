@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/bombs"
+	"repro/internal/cliopts"
 	"repro/internal/core"
 	"repro/internal/symexec"
 	"repro/internal/tools"
@@ -166,45 +167,18 @@ type Options struct {
 	// cell index, so the grid is identical at every worker count; only
 	// the wall time changes.
 	Workers int
-	// EngineWorkers, when > 0, overrides each profile's per-engine
-	// worker count (Capabilities.Workers); the grid-level Workers knob
-	// above is independent of it.
-	EngineWorkers int
-	// Strategy, when non-empty, is a search strategy name
-	// (core.SearchStrategyNames) that overrides each profile's own; ""
-	// keeps every profile's default — only the Reference profile deviates
-	// from generational. The coverage differential grid test asserts
-	// labels never weaken under core.SearchCoverage. An unknown name
-	// panics: frontends validate it first (cliopts.Check).
-	Strategy string
-	// Fuzz enables the hybrid mutation stage on every profile; it only
-	// takes effect under core.SearchCoverage.
-	Fuzz bool
-	// CoverGoal, when in (0, 1], stops each engine early once that
-	// fraction of static basic blocks has been covered.
-	CoverGoal float64
+	// Engine is overlaid onto every profile by cliopts.Options.Apply,
+	// exactly as the CLIs and concolicd overlay it; its Workers is the
+	// per-engine count, independent of the grid-level Workers above. An
+	// unknown strategy name panics: frontends validate it first
+	// (cliopts.Options.Check).
+	Engine cliopts.Options
 }
 
-// applyOptions overlays the evaluation options onto each profile.
-func applyOptions(profiles []tools.Profile, opts Options) {
-	var search core.SearchStrategy
-	if opts.Strategy != "" {
-		var err error
-		if search, err = core.ParseSearchStrategy(opts.Strategy); err != nil {
-			panic("eval: " + err.Error())
-		}
-	}
+// ApplyOptions overlays the engine options onto each profile.
+func ApplyOptions(profiles []tools.Profile, opts Options) {
 	for i := range profiles {
-		if opts.EngineWorkers > 0 {
-			profiles[i].Caps.Workers = opts.EngineWorkers
-		}
-		if opts.Strategy != "" {
-			profiles[i].Caps.Search = search
-		}
-		profiles[i].Caps.Fuzz = opts.Fuzz
-		if opts.CoverGoal > 0 {
-			profiles[i].Caps.CoverGoal = opts.CoverGoal
-		}
+		opts.Engine.Apply(&profiles[i].Caps)
 	}
 }
 
@@ -213,7 +187,7 @@ func applyOptions(profiles []tools.Profile, opts Options) {
 // historical defaults.
 func RunTableII(opts Options) *Grid {
 	profiles := tools.TableII()
-	applyOptions(profiles, opts)
+	ApplyOptions(profiles, opts)
 	g := runGrid(profiles, bombs.TableII(), opts.Workers, true)
 	g.Title = "TABLE II"
 	return g
@@ -225,7 +199,7 @@ func RunTableII(opts Options) *Grid {
 // paper comparison.
 func RunTableIIExtended(opts Options) *Grid {
 	profiles := tools.TableIIExtended()
-	applyOptions(profiles, opts)
+	ApplyOptions(profiles, opts)
 	g := runGrid(profiles, bombs.TableIIExtended(), opts.Workers, false)
 	g.Title = "TABLE II-EXTENDED"
 	return g

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/bombs"
+	"repro/internal/cliopts"
 	"repro/internal/core"
 	"repro/internal/tools"
 )
@@ -24,16 +25,14 @@ import (
 //
 // The service speaks plain JSON, so the client here re-declares the
 // wire shapes instead of importing internal/service (which imports
-// this package for Classify).
+// this package for Classify). The engine options are not re-declared:
+// the request embeds cliopts.Options, as service.Request does.
 
 // fleetRequest mirrors service.Request.
 type fleetRequest struct {
-	Bomb      string  `json:"bomb"`
-	Tool      string  `json:"tool"`
-	Workers   int     `json:"workers,omitempty"`
-	Strategy  string  `json:"strategy,omitempty"`
-	Fuzz      bool    `json:"fuzz,omitempty"`
-	CoverGoal float64 `json:"cover_goal,omitempty"`
+	Bomb string `json:"bomb"`
+	Tool string `json:"tool"`
+	cliopts.Options
 }
 
 // fleetView mirrors the service job view fields the client consumes.
@@ -62,27 +61,19 @@ type fleetResult struct {
 
 var fleetHTTP = &http.Client{Timeout: 10 * time.Second}
 
-// FleetOptions shapes a fleet grid run: the wire-expressible subset of
-// Options.
-type FleetOptions struct {
-	// EngineWorkers, Strategy, Fuzz, CoverGoal mirror the same Options
-	// fields and ride on each submitted job. Strategy is the wire name,
-	// as in service.Request: "" keeps each profile's default, and the
-	// replica rejects an unknown name.
-	EngineWorkers int
-	Strategy      string
-	Fuzz          bool
-	CoverGoal     float64
-	// PollInterval paces job-completion polling (<= 0: 50ms).
-	PollInterval time.Duration
-	// Timeout bounds the whole grid run (<= 0: 10 minutes).
-	Timeout time.Duration
-}
+// Fleet grid pacing: how often a job's completion is polled, and the
+// bound on the whole grid run.
+const (
+	fleetPoll    = 50 * time.Millisecond
+	fleetTimeout = 10 * time.Minute
+)
 
 // RunTableIIFleet evaluates the four Table II profiles over the 22
 // bombs on a concolicd fleet, submitting cells round-robin across the
-// endpoints and assembling the same Grid RunTableII returns.
-func RunTableIIFleet(opts FleetOptions, endpoints []string) (*Grid, error) {
+// endpoints and assembling the same Grid RunTableII returns. The engine
+// options ride on every submitted job; the replica checks and applies
+// them with the same cliopts.Options methods RunTableII uses.
+func RunTableIIFleet(opts cliopts.Options, endpoints []string) (*Grid, error) {
 	// tools.Names() lists the wire/CLI ids in Table II order (plus the
 	// reference engine); the grid itself is keyed by display name.
 	return runFleetGrid(tools.TableII(), tools.Names()[:4], bombs.TableII(),
@@ -93,7 +84,7 @@ func RunTableIIFleet(opts FleetOptions, endpoints []string) (*Grid, error) {
 // corpus: the five extended columns (paper profiles plus the reference
 // engine) over the TIFS-2018 taxonomy bombs, assembling the same Grid
 // RunTableIIExtended returns.
-func RunTableIIExtendedFleet(opts FleetOptions, endpoints []string) (*Grid, error) {
+func RunTableIIExtendedFleet(opts cliopts.Options, endpoints []string) (*Grid, error) {
 	return runFleetGrid(tools.TableIIExtended(), tools.Names(), bombs.TableIIExtended(),
 		false, "TABLE II-EXTENDED", opts, endpoints)
 }
@@ -102,15 +93,9 @@ func RunTableIIExtendedFleet(opts FleetOptions, endpoints []string) (*Grid, erro
 // endpoints and assembles the grid from the finished jobs. wireNames
 // must parallel profiles with the service/CLI tool ids.
 func runFleetGrid(profiles []tools.Profile, wireNames []string, rows []*bombs.Bomb,
-	withPaper bool, title string, opts FleetOptions, endpoints []string) (*Grid, error) {
+	withPaper bool, title string, opts cliopts.Options, endpoints []string) (*Grid, error) {
 	if len(endpoints) == 0 {
 		return nil, fmt.Errorf("fleet: no endpoints")
-	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = 50 * time.Millisecond
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 10 * time.Minute
 	}
 
 	g := &Grid{Title: title, HasPaper: withPaper, Cells: make(map[string]map[string]*Cell)}
@@ -131,17 +116,10 @@ func runFleetGrid(profiles []tools.Profile, wireNames []string, rows []*bombs.Bo
 	for _, b := range rows {
 		g.Cells[b.Name] = make(map[string]*Cell)
 		for i, p := range profiles {
-			req := fleetRequest{
-				Bomb:      b.Name,
-				Tool:      wireNames[i],
-				Workers:   opts.EngineWorkers,
-				Strategy:  opts.Strategy,
-				Fuzz:      opts.Fuzz,
-				CoverGoal: opts.CoverGoal,
-			}
+			req := fleetRequest{Bomb: b.Name, Tool: wireNames[i], Options: opts}
 			endpoint := endpoints[next%len(endpoints)]
 			next++
-			id, err := fleetSubmit(endpoint, req, opts.Timeout)
+			id, err := fleetSubmit(endpoint, req)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: submit %s/%s to %s: %w", b.Name, p.Name(), endpoint, err)
 			}
@@ -153,9 +131,9 @@ func runFleetGrid(profiles []tools.Profile, wireNames []string, rows []*bombs.Bo
 		}
 	}
 
-	deadline := time.Now().Add(opts.Timeout)
+	deadline := time.Now().Add(fleetTimeout)
 	for _, pj := range jobs {
-		v, err := fleetWait(pj.endpoint, pj.jobID, opts.PollInterval, deadline)
+		v, err := fleetWait(pj.endpoint, pj.jobID, deadline)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: job %s (%s/%s): %w", pj.jobID, pj.bomb.Name, pj.profile.Name(), err)
 		}
@@ -170,12 +148,12 @@ func runFleetGrid(profiles []tools.Profile, wireNames []string, rows []*bombs.Bo
 
 // fleetSubmit posts one job, retrying on 429 backpressure until the
 // deadline — a fleet grid intentionally oversubscribes small queues.
-func fleetSubmit(endpoint string, req fleetRequest, timeout time.Duration) (string, error) {
+func fleetSubmit(endpoint string, req fleetRequest) (string, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return "", err
 	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(fleetTimeout)
 	for {
 		resp, err := fleetHTTP.Post(endpoint+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -208,7 +186,7 @@ func fleetSubmit(endpoint string, req fleetRequest, timeout time.Duration) (stri
 }
 
 // fleetWait polls one job to a terminal state.
-func fleetWait(endpoint, id string, every time.Duration, deadline time.Time) (*fleetView, error) {
+func fleetWait(endpoint, id string, deadline time.Time) (*fleetView, error) {
 	for {
 		resp, err := fleetHTTP.Get(endpoint + "/v1/jobs/" + id)
 		if err != nil {
@@ -229,7 +207,7 @@ func fleetWait(endpoint, id string, every time.Duration, deadline time.Time) (*f
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("still %s past deadline", v.State)
 		}
-		time.Sleep(every)
+		time.Sleep(fleetPoll)
 	}
 }
 

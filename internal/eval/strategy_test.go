@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/cliopts"
 	"repro/internal/core"
 	"repro/internal/tools"
 )
@@ -25,14 +26,14 @@ func TestExplicitGenerationalOverridesProfile(t *testing.T) {
 		t.Fatal("reference profile already defaults to generational; the test shows nothing")
 	}
 	profiles := tools.TableIIExtended()
-	applyOptions(profiles, Options{Strategy: "generational"})
+	ApplyOptions(profiles, Options{Engine: cliopts.Options{Strategy: "generational"}})
 	for _, p := range profiles {
 		if p.Caps.Search != core.SearchGenerational {
 			t.Errorf("%s: search %v under -strategy generational", p.Name(), p.Caps.Search)
 		}
 	}
 	profiles = tools.TableIIExtended()
-	applyOptions(profiles, Options{})
+	ApplyOptions(profiles, Options{})
 	for i, p := range tools.TableIIExtended() {
 		if profiles[i].Caps.Search != p.Caps.Search {
 			t.Errorf("%s: empty strategy moved search %v -> %v", p.Name(), p.Caps.Search, profiles[i].Caps.Search)
@@ -53,7 +54,7 @@ func TestFleetSendsExplicitGenerational(t *testing.T) {
 		io.WriteString(w, `{"error":"stub replica"}`)
 	}))
 	defer srv.Close()
-	if _, err := RunTableIIExtendedFleet(FleetOptions{Strategy: "generational"}, []string{srv.URL}); err == nil {
+	if _, err := RunTableIIExtendedFleet(cliopts.Options{Strategy: "generational"}, []string{srv.URL}); err == nil {
 		t.Fatal("stub replica accepted a job")
 	}
 	if got.Strategy != "generational" {

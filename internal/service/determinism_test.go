@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/bombs"
+	"repro/internal/cliopts"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/tools"
@@ -72,7 +73,7 @@ func TestServiceDeterminism(t *testing.T) {
 		wg.Add(1)
 		go func(i int, c cell) {
 			defer wg.Done()
-			body, _ := json.Marshal(Request{Bomb: c.bomb, Tool: c.tool, Workers: engineWorkers})
+			body, _ := json.Marshal(Request{Bomb: c.bomb, Tool: c.tool, Options: cliopts.Options{Workers: engineWorkers}})
 			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 			if err != nil {
 				errs[i] = err

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/bombs"
+	"repro/internal/cliopts"
 	"repro/internal/eval"
 	"repro/internal/solver"
 )
@@ -22,20 +23,20 @@ func TestCategoryFilterRejectsOtherCategories(t *testing.T) {
 		Categories: []string{string(bombs.Extended)},
 	})
 
-	resp, v := postJob(t, ts, Request{Bomb: "stwrite", Tool: "reference", Workers: 1})
+	resp, v := postJob(t, ts, Request{Bomb: "stwrite", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("extended bomb rejected: status %d", resp.StatusCode)
 	}
 	waitState(t, ts, v.ID, StateDone, 60*time.Second)
 
-	resp, _ = postJob(t, ts, Request{Bomb: "jump", Tool: "reference", Workers: 1})
+	resp, _ = postJob(t, ts, Request{Bomb: "jump", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("accuracy bomb on an extended-only replica: status %d, want %d",
 			resp.StatusCode, http.StatusBadRequest)
 	}
 
 	// Unknown bombs still fail validation, not the category filter.
-	resp, _ = postJob(t, ts, Request{Bomb: "no-such-bomb", Tool: "reference", Workers: 1})
+	resp, _ = postJob(t, ts, Request{Bomb: "no-such-bomb", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown bomb: status %d, want %d", resp.StatusCode, http.StatusBadRequest)
 	}
@@ -64,14 +65,11 @@ func TestExtendedFleetGridMatchesSingleNode(t *testing.T) {
 		Peers:       []string{tsA.URL}, StealInterval: 50 * time.Millisecond,
 	})
 
-	fleetGrid, err := eval.RunTableIIExtendedFleet(eval.FleetOptions{
-		EngineWorkers: 2,
-		Timeout:       8 * time.Minute,
-	}, []string{tsA.URL, tsB.URL})
+	fleetGrid, err := eval.RunTableIIExtendedFleet(cliopts.Options{Workers: 2}, []string{tsA.URL, tsB.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refGrid := eval.RunTableIIExtended(eval.Options{Workers: 4, EngineWorkers: 2})
+	refGrid := eval.RunTableIIExtended(eval.Options{Workers: 4, Engine: cliopts.Options{Workers: 2}})
 
 	var diffs []string
 	for _, b := range refGrid.Rows {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/bombs"
+	"repro/internal/cliopts"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/sharedcache"
@@ -41,9 +42,9 @@ func TestFleetStealsQueuedJobs(t *testing.T) {
 	})
 
 	// Pin A's worker, then queue the job B should steal.
-	_, blocker := postJob(t, tsA, Request{Bomb: "sha1", Tool: "reference", Workers: 1})
+	_, blocker := postJob(t, tsA, Request{Bomb: "sha1", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	waitState(t, tsA, blocker.ID, StateRunning, 10*time.Second)
-	_, victim := postJob(t, tsA, Request{Bomb: "jump", Tool: "reference", Workers: 1})
+	_, victim := postJob(t, tsA, Request{Bomb: "jump", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 
 	done := waitState(t, tsA, victim.ID, StateDone, 30*time.Second)
 	if done.Replica != "b" {
@@ -82,9 +83,9 @@ func TestStolenJobCountersReachOwner(t *testing.T) {
 
 	// The blocker keeps A's worker busy and has not finished, so A's
 	// engine counters hold the stolen job's alone.
-	_, blocker := postJob(t, tsA, Request{Bomb: "sha1", Tool: "reference", Workers: 1})
+	_, blocker := postJob(t, tsA, Request{Bomb: "sha1", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	waitState(t, tsA, blocker.ID, StateRunning, 10*time.Second)
-	_, victim := postJob(t, tsA, Request{Bomb: "jump", Tool: "reference", Workers: 1})
+	_, victim := postJob(t, tsA, Request{Bomb: "jump", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	done := waitState(t, tsA, victim.ID, StateDone, 30*time.Second)
 	if done.Replica != "b" || done.Result == nil {
 		t.Fatalf("victim not stolen: replica %q result %+v", done.Replica, done.Result)
@@ -114,9 +115,9 @@ func TestStealLeaseExpiry(t *testing.T) {
 		Replica: "victim", StealLease: 300 * time.Millisecond,
 	})
 
-	_, blocker := postJob(t, ts, Request{Bomb: "sha1", Tool: "reference", Workers: 1})
+	_, blocker := postJob(t, ts, Request{Bomb: "sha1", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	waitState(t, ts, blocker.ID, StateRunning, 10*time.Second)
-	_, victim := postJob(t, ts, Request{Bomb: "jump", Tool: "reference", Workers: 1})
+	_, victim := postJob(t, ts, Request{Bomb: "jump", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 
 	// A "stealer" leases the queued job and then dies.
 	body, _ := json.Marshal(StealRequest{Replica: "ghost", Max: 1})
@@ -171,7 +172,7 @@ func TestSharedTierWarmMajority(t *testing.T) {
 		if b.Name == "sha1" || b.Name == "aes" {
 			continue
 		}
-		batch = append(batch, Request{Bomb: b.Name, Tool: "reference", Workers: 1})
+		batch = append(batch, Request{Bomb: b.Name, Tool: "reference", Options: cliopts.Options{Workers: 1}})
 		if len(batch) == 4 {
 			break
 		}
@@ -235,14 +236,11 @@ func TestFleetGridMatchesSingleNode(t *testing.T) {
 		Peers:       []string{tsA.URL}, StealInterval: 50 * time.Millisecond,
 	})
 
-	fleetGrid, err := eval.RunTableIIFleet(eval.FleetOptions{
-		EngineWorkers: 2,
-		Timeout:       8 * time.Minute,
-	}, []string{tsA.URL, tsB.URL})
+	fleetGrid, err := eval.RunTableIIFleet(cliopts.Options{Workers: 2}, []string{tsA.URL, tsB.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refGrid := eval.RunTableII(eval.Options{Workers: 4, EngineWorkers: 2})
+	refGrid := eval.RunTableII(eval.Options{Workers: 4, Engine: cliopts.Options{Workers: 2}})
 
 	var diffs []string
 	for _, b := range refGrid.Rows {

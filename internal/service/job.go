@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/bombs"
@@ -34,11 +33,12 @@ func (s State) Terminal() bool {
 }
 
 // Request is the analysis a client submits: which bomb, which tool
-// profile, how many engine workers, and an optional per-job wall-clock
-// budget that becomes the exploration context's deadline. Solver names
-// the solver mode; "" and "fresh", the engine's only mode, are accepted
-// and anything else is rejected, including journaled jobs that name a
-// removed mode.
+// profile, the engine options (cliopts.Options: workers, strategy, fuzz,
+// cover_goal, under the same wire keys), and an optional per-job
+// wall-clock budget that becomes the exploration context's deadline.
+// Solver names the solver mode; "" and "fresh", the engine's only mode,
+// are accepted and anything else is rejected, including journaled jobs
+// that name a removed mode.
 type Request struct {
 	// Bomb is the legacy target field: the name of a registered logic
 	// bomb. New clients should submit Target instead; Validate folds a
@@ -48,18 +48,11 @@ type Request struct {
 	// Target is the versioned target object. Today the only served kind
 	// is "bomb"; "gofunc" (a Go function lowered by the congolic
 	// frontend) is reserved and rejected with a self-explaining error.
-	Target   *TargetSpec `json:"target,omitempty"`
-	Tool     string      `json:"tool"`
-	Workers  int         `json:"workers,omitempty"`
-	Solver   string      `json:"solver,omitempty"`
-	BudgetMS int64       `json:"budget_ms,omitempty"`
-	// Strategy selects the frontier search order ("" or "generational",
-	// "dfs", "coverage"); Fuzz enables the hybrid mutation stage
-	// (coverage strategy only); CoverGoal, in (0, 1], stops the engine
-	// early once that fraction of static basic blocks is covered.
-	Strategy  string  `json:"strategy,omitempty"`
-	Fuzz      bool    `json:"fuzz,omitempty"`
-	CoverGoal float64 `json:"cover_goal,omitempty"`
+	Target *TargetSpec `json:"target,omitempty"`
+	Tool   string      `json:"tool"`
+	cliopts.Options
+	Solver   string `json:"solver,omitempty"`
+	BudgetMS int64  `json:"budget_ms,omitempty"`
 }
 
 // TargetSpec is the versioned job target. Kind "bomb" names a
@@ -126,30 +119,19 @@ func (r *Request) Validate() error {
 	if r.Tool == "" {
 		r.Tool = "reference"
 	}
-	if _, ok := tools.ByName(r.Tool); !ok {
-		return fmt.Errorf("unknown tool %q (choose from %s)",
-			r.Tool, strings.Join(tools.Names(), ", "))
+	if _, err := tools.Lookup(r.Tool); err != nil {
+		return err
 	}
 	if r.Solver != "" && r.Solver != "fresh" {
 		return suggest.Unknown("solver mode", r.Solver, []string{"fresh"})
 	}
-	if err := cliopts.Check(cliopts.Options{
-		Workers:   r.Workers,
-		Strategy:  r.Strategy,
-		Fuzz:      r.Fuzz,
-		CoverGoal: r.CoverGoal,
-	}, cliopts.WireDialect); err != nil {
+	if err := r.Options.Check(cliopts.WireDialect); err != nil {
 		return err
 	}
 	if r.BudgetMS < 0 {
 		return errors.New("budget_ms must be non-negative")
 	}
 	return nil
-}
-
-// searchStrategy maps the wire field to the engine capability.
-func (r *Request) searchStrategy() (core.SearchStrategy, error) {
-	return core.ParseSearchStrategy(r.Strategy)
 }
 
 // SolvedInput is the detonating input of a solved job. Files values are
@@ -239,14 +221,11 @@ type Job struct {
 
 // View is the JSON snapshot of a job served to clients.
 type View struct {
-	ID              string  `json:"id"`
-	Bomb            string  `json:"bomb"`
-	Tool            string  `json:"tool"`
-	Workers         int     `json:"workers,omitempty"`
+	ID   string `json:"id"`
+	Bomb string `json:"bomb"`
+	Tool string `json:"tool"`
+	cliopts.Options
 	Solver          string  `json:"solver,omitempty"`
-	Strategy        string  `json:"strategy,omitempty"`
-	Fuzz            bool    `json:"fuzz,omitempty"`
-	CoverGoal       float64 `json:"cover_goal,omitempty"`
 	BudgetMS        int64   `json:"budget_ms,omitempty"`
 	State           State   `json:"state"`
 	CancelRequested bool    `json:"cancel_requested,omitempty"`
@@ -266,11 +245,8 @@ func (j *Job) view() View {
 		ID:              j.ID,
 		Bomb:            j.Req.Bomb,
 		Tool:            j.Req.Tool,
-		Workers:         j.Req.Workers,
+		Options:         j.Req.Options,
 		Solver:          j.Req.Solver,
-		Strategy:        j.Req.Strategy,
-		Fuzz:            j.Req.Fuzz,
-		CoverGoal:       j.Req.CoverGoal,
 		BudgetMS:        j.Req.BudgetMS,
 		State:           j.State,
 		CancelRequested: j.CancelRequested,

@@ -131,12 +131,7 @@ func (p *pool) prepare(req Request) (*bombs.Bomb, tools.Profile, error) {
 	if !ok {
 		return nil, tools.Profile{}, errors.New("request not resolvable on replica " + p.replica)
 	}
-	prof.Caps.Workers = req.Workers
-	if req.Strategy != "" {
-		prof.Caps.Search, _ = req.searchStrategy() // Validate checked it
-	}
-	prof.Caps.Fuzz = req.Fuzz
-	prof.Caps.CoverGoal = req.CoverGoal
+	req.Options.Apply(&prof.Caps)
 	prof.Caps.SharedCache = p.shared
 	return b, prof, nil
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cliopts"
 )
 
 func postJobAs(t *testing.T, ts *httptest.Server, req Request, apiKey string) *http.Response {
@@ -78,7 +80,7 @@ func TestTenantRateLimitHTTP(t *testing.T) {
 		RatePerSec: 0.001, RateBurst: 2, // effectively no refill mid-test
 	})
 
-	req := Request{Bomb: "jump", Tool: "reference", Workers: 1}
+	req := Request{Bomb: "jump", Tool: "reference", Options: cliopts.Options{Workers: 1}}
 	for i := 0; i < 2; i++ {
 		if resp := postJobAs(t, ts, req, "alice"); resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("alice submit %d: status %d", i, resp.StatusCode)
@@ -111,15 +113,15 @@ func TestTenantMaxActive(t *testing.T) {
 		TenantMaxActive: 1,
 	})
 
-	resp := postJobAs(t, ts, Request{Bomb: "sha1", Tool: "reference", Workers: 1}, "alice")
+	resp := postJobAs(t, ts, Request{Bomb: "sha1", Tool: "reference", Options: cliopts.Options{Workers: 1}}, "alice")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first alice job: status %d", resp.StatusCode)
 	}
-	resp = postJobAs(t, ts, Request{Bomb: "jump", Tool: "reference", Workers: 1}, "alice")
+	resp = postJobAs(t, ts, Request{Bomb: "jump", Tool: "reference", Options: cliopts.Options{Workers: 1}}, "alice")
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second alice job: status %d, want 429", resp.StatusCode)
 	}
-	if resp := postJobAs(t, ts, Request{Bomb: "jump", Tool: "reference", Workers: 1}, "bob"); resp.StatusCode != http.StatusAccepted {
+	if resp := postJobAs(t, ts, Request{Bomb: "jump", Tool: "reference", Options: cliopts.Options{Workers: 1}}, "bob"); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("bob alongside alice: status %d", resp.StatusCode)
 	}
 }
@@ -131,7 +133,7 @@ func TestListPagination(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 3; i++ {
-		_, v := postJob(t, ts, Request{Bomb: "jump", Tool: "reference", Workers: 1})
+		_, v := postJob(t, ts, Request{Bomb: "jump", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 		ids = append(ids, v.ID)
 	}
 	for _, id := range ids {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cliopts"
 	"repro/internal/jobstore"
 )
 
@@ -31,7 +32,7 @@ func TestRecoveryAcrossRestart(t *testing.T) {
 	jl1 := openJL(t, dir)
 	s1 := New(Config{Workers: 2, QueueDepth: 8, ResolveProfile: fastResolve, Jobs: jl1})
 	ts1 := httptest.NewServer(s1.Handler())
-	_, v := postJob(t, ts1, Request{Bomb: "jump", Tool: "reference", Workers: 1})
+	_, v := postJob(t, ts1, Request{Bomb: "jump", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	done := waitState(t, ts1, v.ID, StateDone, 30*time.Second)
 	if done.Result == nil || done.Result.Verdict != "unreachable" {
 		t.Fatalf("pre-restart result: %+v", done.Result)
@@ -59,7 +60,7 @@ func TestRecoveryAcrossRestart(t *testing.T) {
 		t.Fatalf("restarted result diverged:\n got %+v\nwant %+v", got.Result, done.Result)
 	}
 	// ID assignment resumes past recovered jobs instead of reusing IDs.
-	_, v2 := postJob(t, ts2, Request{Bomb: "jump", Tool: "reference", Workers: 1})
+	_, v2 := postJob(t, ts2, Request{Bomb: "jump", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	if v2.ID != "job-000002" {
 		t.Fatalf("post-restart ID: %q", v2.ID)
 	}
@@ -76,7 +77,7 @@ func TestRecoveryResumesInterruptedJobs(t *testing.T) {
 	dir := t.TempDir()
 
 	crashed := openJL(t, dir)
-	req, _ := json.Marshal(Request{Bomb: "jump", Tool: "reference", Workers: 1})
+	req, _ := json.Marshal(Request{Bomb: "jump", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	res, _ := json.Marshal(Result{Verdict: "solved", Label: "", Rounds: 2})
 	crashed.Put(jobstore.Record{ID: "job-000001", Req: req, State: string(StateRunning), Submitted: time.Now()})
 	crashed.Put(jobstore.Record{ID: "job-000002", Req: req, State: string(StateQueued), Submitted: time.Now()})

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cliopts"
 	"repro/internal/tools"
 )
 
@@ -88,7 +89,7 @@ func cancelJob(t *testing.T, ts *httptest.Server, id string) *http.Response {
 func TestJobLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
 
-	resp, v := postJob(t, ts, Request{Bomb: "jump", Tool: "reference", Workers: 1})
+	resp, v := postJob(t, ts, Request{Bomb: "jump", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
@@ -142,15 +143,15 @@ func TestSubmitValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty request: status %d, want 400", resp.StatusCode)
 	}
-	resp, _ = postJob(t, ts, Request{Bomb: "jump", Strategy: "bfs"})
+	resp, _ = postJob(t, ts, Request{Bomb: "jump", Options: cliopts.Options{Strategy: "bfs"}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown strategy: status %d, want 400", resp.StatusCode)
 	}
-	resp, _ = postJob(t, ts, Request{Bomb: "jump", Fuzz: true})
+	resp, _ = postJob(t, ts, Request{Bomb: "jump", Options: cliopts.Options{Fuzz: true}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("fuzz without coverage strategy: status %d, want 400", resp.StatusCode)
 	}
-	resp, _ = postJob(t, ts, Request{Bomb: "jump", CoverGoal: 1.5})
+	resp, _ = postJob(t, ts, Request{Bomb: "jump", Options: cliopts.Options{CoverGoal: 1.5}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("out-of-range cover_goal: status %d, want 400", resp.StatusCode)
 	}
@@ -161,7 +162,7 @@ func TestSubmitValidation(t *testing.T) {
 func TestCoverageJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 
-	_, v := postJob(t, ts, Request{Bomb: "jump", Tool: "reference", Strategy: "coverage", Fuzz: true})
+	_, v := postJob(t, ts, Request{Bomb: "jump", Tool: "reference", Options: cliopts.Options{Strategy: "coverage", Fuzz: true}})
 	done := waitState(t, ts, v.ID, StateDone, 60*time.Second)
 	if done.Result == nil || done.Result.Verdict != "solved" {
 		t.Fatalf("coverage job result: %+v", done.Result)
@@ -191,7 +192,7 @@ func slowResolver(name string) (tools.Profile, bool) {
 func TestCancelRunningJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, ResolveProfile: slowResolver})
 
-	_, v := postJob(t, ts, Request{Bomb: "sha1", Tool: "reference", Workers: 1})
+	_, v := postJob(t, ts, Request{Bomb: "sha1", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	waitState(t, ts, v.ID, StateRunning, 10*time.Second)
 
 	start := time.Now()
@@ -220,11 +221,11 @@ func TestCancelQueuedJobAndBackpressure(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, ResolveProfile: slowResolver})
 
 	// Occupy the single worker.
-	_, running := postJob(t, ts, Request{Bomb: "sha1", Tool: "reference", Workers: 1})
+	_, running := postJob(t, ts, Request{Bomb: "sha1", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	waitState(t, ts, running.ID, StateRunning, 10*time.Second)
 
 	// Fill the queue.
-	resp, queued := postJob(t, ts, Request{Bomb: "aes", Tool: "reference", Workers: 1})
+	resp, queued := postJob(t, ts, Request{Bomb: "aes", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("queued submit: status %d", resp.StatusCode)
 	}
@@ -425,7 +426,7 @@ func TestHealthAndDrain(t *testing.T) {
 // their contexts rather than held forever.
 func TestDrainDeadlineCancelsRunning(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, ResolveProfile: slowResolver})
-	_, v := postJob(t, ts, Request{Bomb: "sha1", Tool: "reference", Workers: 1})
+	_, v := postJob(t, ts, Request{Bomb: "sha1", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	waitState(t, ts, v.ID, StateRunning, 10*time.Second)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cliopts"
 	"repro/internal/core"
 )
 
@@ -111,10 +112,10 @@ func TestSSEStreamsProgressBeforeCompletion(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, ResolveProfile: slowResolver})
 
 	// Occupy the single worker so the observed job stays queued.
-	_, blocker := postJob(t, ts, Request{Bomb: "sha1", Tool: "reference", Workers: 1})
+	_, blocker := postJob(t, ts, Request{Bomb: "sha1", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	waitState(t, ts, blocker.ID, StateRunning, 10*time.Second)
 
-	_, v := postJob(t, ts, Request{Bomb: "jump", Tool: "reference", Workers: 1})
+	_, v := postJob(t, ts, Request{Bomb: "jump", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +167,7 @@ func TestSSEStreamsProgressBeforeCompletion(t *testing.T) {
 // the recorded events after completion.
 func TestProgressPollEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, ResolveProfile: fastResolve})
-	_, v := postJob(t, ts, Request{Bomb: "jump", Tool: "reference", Workers: 1})
+	_, v := postJob(t, ts, Request{Bomb: "jump", Tool: "reference", Options: cliopts.Options{Workers: 1}})
 	waitState(t, ts, v.ID, StateDone, 30*time.Second)
 
 	var page struct {

@@ -10,6 +10,8 @@
 package tools
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/bombs"
@@ -302,6 +304,15 @@ func ByName(name string) (Profile, bool) {
 		return Reference(), true
 	}
 	return Profile{}, false
+}
+
+// Lookup is ByName with the error every frontend reports for a name it
+// does not know.
+func Lookup(name string) (Profile, error) {
+	if p, ok := ByName(name); ok {
+		return p, nil
+	}
+	return Profile{}, fmt.Errorf("unknown tool %q (choose from %s)", name, strings.Join(Names(), ", "))
 }
 
 // FastBudgets returns a copy of the profile with sharply reduced solver

@@ -43,6 +43,19 @@ func TestByNameCoversEveryProfile(t *testing.T) {
 	}
 }
 
+// TestLookupError pins the unknown-tool text the CLIs and the job API
+// all report.
+func TestLookupError(t *testing.T) {
+	if p, err := Lookup("angr"); err != nil || p.Name() != "Angr" {
+		t.Errorf("Lookup(angr) = %s, %v", p.Name(), err)
+	}
+	_, err := Lookup("klee")
+	want := `unknown tool "klee" (choose from bap, triton, angr, angr-nolib, reference)`
+	if err == nil || err.Error() != want {
+		t.Errorf("Lookup(klee) error = %v, want %s", err, want)
+	}
+}
+
 func TestOverridesReferenceRealBombs(t *testing.T) {
 	for _, p := range TableII() {
 		for name, ov := range p.Overrides {
