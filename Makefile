@@ -7,7 +7,7 @@ GOFMT ?= gofmt
 # packages under the race detector (among them concurrent clones of one
 # boot memory, in internal/mem and through parallel engine rounds),
 # short fuzz smokes on the solver cache key, the interning equivalence
-# property, the COW memory (clone/write and page-straddling multi-byte
+# property, the compiled evaluator (vs Eval), the COW memory (clone/write and page-straddling multi-byte
 # access vs a deep-copy reference model), the VM's dense decode table (vs a decode-walk
 # reference map), the SAT core with unit clauses added between solves
 # (vs brute-force enumeration), a Reset SAT solver (vs a new one), the
@@ -39,6 +39,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalKey -fuzztime=5s ./internal/sym/
 	$(GO) test -run '^$$' -fuzz FuzzInternEval -fuzztime=5s ./internal/sym/
+	$(GO) test -run '^$$' -fuzz FuzzCompiledEval -fuzztime=5s ./internal/sym/
 	$(GO) test -run '^$$' -fuzz FuzzMemoryCOW -fuzztime=5s ./internal/mem/
 	$(GO) test -run '^$$' -fuzz FuzzProgramDecode -fuzztime=5s ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzSolveBruteForce -fuzztime=5s ./internal/sat/
@@ -63,6 +64,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkInputKey' ./internal/core/...
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheSolveHit|BenchmarkSolveUncached|BenchmarkCanonicalKey' ./internal/solver/...
 	$(GO) test -run '^$$' -bench 'BenchmarkRoundFresh' -benchtime 3x ./internal/solver/
+	$(GO) test -run '^$$' -bench 'BenchmarkFPLocalSearch|BenchmarkFPSearchUnknown' -benchmem ./internal/solver/
 	$(GO) test -run '^$$' -bench 'BenchmarkCanonicalKeyInterned|BenchmarkCanonicalKeyStable|BenchmarkInternConstruct' ./internal/sym/
 	$(GO) test -run '^$$' -bench 'BenchmarkBitblastSharedDAG' -benchtime 3x ./internal/bitblast/
 

@@ -16,18 +16,19 @@ import (
 	"repro/internal/tools"
 )
 
-// fastResolve mirrors the eval grid test's budget reduction: the
-// wall-clock limits are raised well past what the included bombs need,
-// so CPU sharing between concurrent jobs cannot flip a verdict — the
-// binding bounds (round cap, conflict budget) are scheduling-independent.
+// fastResolve mirrors the eval grid test's budget reduction, but with
+// no per-query wall-clock timeout: the conflict budget, the FP iteration
+// budget and the round cap bind, and none of them depends on how the
+// machine schedules concurrent jobs. The total budget is raised far past
+// what the included bombs need and kept only as a safety net.
 func fastResolve(name string) (tools.Profile, bool) {
 	p, ok := tools.ByName(name)
 	if !ok {
 		return p, false
 	}
 	p = tools.FastBudgets(p)
-	p.Caps.TotalBudget = 2 * time.Minute
-	p.Caps.SolverTimeout = 10 * time.Second
+	p.Caps.TotalBudget = 10 * time.Minute
+	p.Caps.SolverTimeout = 0
 	return p, true
 }
 
@@ -95,6 +96,7 @@ func TestServiceDeterminism(t *testing.T) {
 	// Direct reference runs with identical caps, bounded concurrency.
 	wantVerdict := make([]string, len(cells))
 	wantLabel := make([]string, len(cells))
+	wantDetail := make([]string, len(cells))
 	sem := make(chan struct{}, 4)
 	for i, c := range cells {
 		wg.Add(1)
@@ -108,6 +110,7 @@ func TestServiceDeterminism(t *testing.T) {
 			out := core.New(b.Image(), b.BombAddr(), p.Caps).Explore(b.Benign)
 			wantVerdict[i] = out.Verdict.String()
 			wantLabel[i] = string(eval.Classify(out))
+			wantDetail[i] = out.CrashDetail
 		}(i, c)
 	}
 	wg.Wait()
@@ -118,9 +121,9 @@ func TestServiceDeterminism(t *testing.T) {
 			t.Fatalf("%s/%s: done without result", c.tool, c.bomb)
 		}
 		if v.Result.Verdict != wantVerdict[i] || v.Result.Label != wantLabel[i] {
-			t.Errorf("%s/%s: service %s/%q, direct %s/%q",
-				c.tool, c.bomb, v.Result.Verdict, v.Result.Label,
-				wantVerdict[i], wantLabel[i])
+			t.Errorf("%s/%s: service %s/%q (%q), direct %s/%q (%q)",
+				c.tool, c.bomb, v.Result.Verdict, v.Result.Label, v.Result.Detail,
+				wantVerdict[i], wantLabel[i], wantDetail[i])
 		}
 	}
 }

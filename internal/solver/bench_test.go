@@ -49,3 +49,33 @@ func BenchmarkFPLocalSearch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFPSearchUnknown measures the local search's per-iteration
+// cost on an infeasible fplaunder-shaped system: f2i(i2f(atoi(argv1)) +
+// 1.0) == 14 while atoi(argv1) != 13, over a four-byte argument. No
+// assignment satisfies it, so every query runs all its iterations.
+func BenchmarkFPSearchUnknown(b *testing.B) {
+	const iterations = 20_000
+	acc := sym.Expr(sym.NewConst(0, 64))
+	seed := map[string]uint64{}
+	for i := 0; i < 4; i++ {
+		name := "argv1[" + string(rune('0'+i)) + "]"
+		d := sym.NewBin(sym.OpSub, sym.NewZExt(sym.NewVar(name, 8), 64), sym.NewConst('0', 64))
+		acc = sym.NewBin(sym.OpAdd, sym.NewBin(sym.OpMul, acc, sym.NewConst(10, 64)), d)
+		seed[name] = '1'
+	}
+	sum := sym.NewBin(sym.OpFAdd, sym.NewI2F(acc), sym.NewConst(math.Float64bits(1), 64))
+	cs := []sym.Expr{
+		sym.NewBin(sym.OpEq, sym.NewF2I(sum), sym.NewConst(14, 64)),
+		sym.NewBin(sym.OpNe, acc, sym.NewConst(13, 64)),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Solve(cs, Options{FP: FPSearch, RandSeed: int64(i), FPIterations: iterations, Seed: seed})
+		if err != nil || res.Status != StatusUnknown {
+			b.Fatalf("res %v err %v", res.Status, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*iterations), "ns/iter")
+}

@@ -5,9 +5,10 @@
 // outcome.
 //
 // The local-search FP solver substitutes for Z3's floating-point theory:
-// it proposes assignments, evaluates the constraint system concretely
-// through sym.Eval (which implements exact IEEE-754 semantics), and hill
-// climbs on a distance objective. This is the same observable behaviour —
+// it compiles the constraint system once (sym.Compile), proposes
+// assignments as slot vectors, evaluates the compiled system concretely
+// with sym.Eval's exact IEEE-754 semantics, and hill climbs on a
+// distance objective. This is the same observable behaviour —
 // solve small FP systems, fail on hard ones — with a documented different
 // mechanism (DESIGN.md, substitution D4).
 package solver
@@ -69,8 +70,10 @@ type Options struct {
 	FP FPMode
 	// FPIterations bounds the local search (0 = default).
 	FPIterations int
-	// Timeout bounds the wall-clock time of one query (0 = none); it
-	// models the per-task analysis timeout of the paper's experiments.
+	// Timeout bounds the wall-clock time of one bitvector query (0 =
+	// none); it models the per-task analysis timeout of the paper's
+	// experiments. The FP local search does not read it: FPIterations
+	// bounds it, and only ctx can stop it early.
 	Timeout time.Duration
 	// Seed provides starting values for local search and model completion;
 	// typically the current concrete input.
@@ -344,79 +347,101 @@ func bareVarSide(b *sym.Bin) (v *sym.Var, other sym.Expr, leftVar bool) {
 // system concretely. Moves include random byte mutations, digit-targeted
 // mutations (inputs are usually numeric strings), and wholesale numeric
 // rendering of log-uniform floats into byte-variable groups.
+//
+// The system is compiled once (sym.Compile) and each candidate is a
+// slot vector, one value per variable in sorted-name order; the map
+// model is built only for a Sat answer.
 func fpSearch(ctx context.Context, constraints []sym.Expr, opts Options) Result {
 	rng := rand.New(rand.NewSource(opts.RandSeed + 1))
-	widths := sym.VarWidths(constraints...)
-	names := sym.Vars(constraints...)
+	prog := sym.Compile(constraints)
+	names := prog.Vars()
 	if len(names) == 0 {
 		// No variables: just evaluate.
-		if penaltyAll(constraints, nil) == 0 {
+		if penalty(prog, nil) == 0 {
 			return Result{Status: StatusSat, Model: map[string]uint64{}}
 		}
 		return Result{Status: StatusUnsat}
 	}
 
-	env := make(map[string]uint64, len(names))
-	for _, n := range names {
-		env[n] = opts.Seed[n] & maskFor(widths[n])
+	widths := make([]int, len(names))
+	env := make([]uint64, len(names))
+	for i, n := range names {
+		widths[i] = prog.Width(i)
+		env[i] = opts.Seed[n] & maskFor(widths[i])
 	}
-	best := penaltyAll(constraints, env)
+	best := penalty(prog, env)
 	if best == 0 {
-		return Result{Status: StatusSat, Model: cloneEnv(env)}
+		return Result{Status: StatusSat, Model: slotModel(names, env)}
 	}
 
 	// Group byte variables by prefix for numeric-rendering moves:
 	// "argv1[3]" -> group "argv1[", index 3.
-	groups := byteGroups(names, widths)
+	byName := make(map[string]int, len(names))
+	for i, n := range names {
+		byName[n] = widths[i]
+	}
+	groups := byteGroups(names, byName)
 
+	cand := make([]uint64, len(names))
+	var digits []byte
 	for it := 0; it < opts.FPIterations; it++ {
 		if it&1023 == 0 && ctx.Err() != nil {
 			return Result{Status: StatusUnknown}
 		}
-		cand := cloneEnv(env)
+		copy(cand, env)
 		switch rng.Intn(10) {
 		case 0, 1, 2:
 			// Random single-variable mutation.
-			n := names[rng.Intn(len(names))]
-			cand[n] = mutate(rng, cand[n], widths[n])
+			i := rng.Intn(len(names))
+			cand[i] = mutate(rng, cand[i], widths[i])
 		case 3, 4, 5:
 			// Digit-targeted mutation for byte variables.
-			n := names[rng.Intn(len(names))]
-			if widths[n] == 8 {
-				cand[n] = uint64('0' + rng.Intn(10))
+			i := rng.Intn(len(names))
+			if widths[i] == 8 {
+				cand[i] = uint64('0' + rng.Intn(10))
 			} else {
-				cand[n] = mutate(rng, cand[n], widths[n])
+				cand[i] = mutate(rng, cand[i], widths[i])
 			}
 		case 6, 7:
 			// Render a log-uniform float into a byte group.
 			if len(groups) > 0 {
 				g := groups[rng.Intn(len(groups))]
-				renderNumeric(rng, cand, g)
+				digits = renderNumeric(rng, cand, g.slots, digits)
 			}
 		case 8:
 			// Small numeric nudge on a 64-bit variable.
-			n := names[rng.Intn(len(names))]
+			i := rng.Intn(len(names))
 			delta := uint64(rng.Intn(5)) - 2
-			cand[n] = (cand[n] + delta) & maskFor(widths[n])
+			cand[i] = (cand[i] + delta) & maskFor(widths[i])
 		default:
 			// Restart a random subset.
-			for _, n := range names {
+			for i := range cand {
 				if rng.Intn(3) == 0 {
-					cand[n] = mutate(rng, cand[n], widths[n])
+					cand[i] = mutate(rng, cand[i], widths[i])
 				}
 			}
 		}
-		p := penaltyAll(constraints, cand)
+		p := penalty(prog, cand)
 		if p <= best {
-			env = cand
+			env, cand = cand, env
 			best = p
 			if best == 0 {
-				minimizeModel(env, constraints, opts.Seed)
-				return Result{Status: StatusSat, Model: env}
+				model := slotModel(names, env)
+				minimizeModel(model, constraints, opts.Seed)
+				return Result{Status: StatusSat, Model: model}
 			}
 		}
 	}
 	return Result{Status: StatusUnknown}
+}
+
+// slotModel maps each variable name to its slot value.
+func slotModel(names []string, slots []uint64) map[string]uint64 {
+	model := make(map[string]uint64, len(names))
+	for i, n := range names {
+		model[n] = slots[i]
+	}
+	return model
 }
 
 func maskFor(w int) uint64 {
@@ -452,11 +477,12 @@ func mutate(rng *rand.Rand, v uint64, w int) uint64 {
 type byteGroup struct {
 	prefix string
 	names  []string // index i -> full variable name, dense from 0
+	slots  []int    // index i -> position of names[i] in the names given
 }
 
 func byteGroups(names []string, widths map[string]int) []byteGroup {
-	byPrefix := make(map[string]map[int]string)
-	for _, n := range names {
+	byPrefix := make(map[string]map[int]int)
+	for slot, n := range names {
 		if widths[n] != 8 {
 			continue
 		}
@@ -476,19 +502,20 @@ func byteGroups(names []string, widths map[string]int) []byteGroup {
 		}
 		p := n[:open+1]
 		if byPrefix[p] == nil {
-			byPrefix[p] = make(map[int]string)
+			byPrefix[p] = make(map[int]int)
 		}
-		byPrefix[p][idx] = n
+		byPrefix[p][idx] = slot
 	}
 	var out []byteGroup
 	for p, m := range byPrefix {
 		g := byteGroup{prefix: p}
 		for i := 0; ; i++ {
-			n, ok := m[i]
+			slot, ok := m[i]
 			if !ok {
 				break
 			}
-			g.names = append(g.names, n)
+			g.names = append(g.names, names[slot])
+			g.slots = append(g.slots, slot)
 		}
 		if len(g.names) > 0 {
 			out = append(out, g)
@@ -501,10 +528,11 @@ func byteGroups(names []string, widths map[string]int) []byteGroup {
 }
 
 // renderNumeric writes the decimal rendering of a log-uniform float into
-// the group's byte variables (NUL padded). This is the move that cracks
+// the given byte-variable slots (NUL padded), rendering into buf and
+// returning it for reuse. This is the move that cracks
 // "1024 + x == 1024 && x > 0"-style constraints: it proposes numbers
 // spanning forty orders of magnitude.
-func renderNumeric(rng *rand.Rand, env map[string]uint64, g byteGroup) {
+func renderNumeric(rng *rand.Rand, env []uint64, slots []int, buf []byte) []byte {
 	exp := rng.Float64()*40 - 20 // 1e-20 .. 1e+20
 	v := math.Pow(10, exp)
 	if rng.Intn(4) == 0 {
@@ -513,47 +541,48 @@ func renderNumeric(rng *rand.Rand, env map[string]uint64, g byteGroup) {
 	if rng.Intn(4) == 0 {
 		v = math.Trunc(v)
 	}
-	s := strconv.FormatFloat(v, 'f', -1, 64)
-	for i, name := range g.names {
-		if i < len(s) {
-			env[name] = uint64(s[i])
+	buf = strconv.AppendFloat(buf[:0], v, 'f', -1, 64)
+	for i, s := range slots {
+		if i < len(buf) {
+			env[s] = uint64(buf[i])
 		} else {
-			env[name] = 0
+			env[s] = 0
 		}
 	}
+	return buf
 }
 
-// penaltyAll sums the distance of every constraint from satisfaction;
+// penalty evaluates the program on the slot values and sums the
+// distance of every constraint from satisfaction, in constraint order;
 // zero means the assignment is a model.
-func penaltyAll(constraints []sym.Expr, env map[string]uint64) float64 {
+func penalty(prog *sym.Program, slots []uint64) float64 {
+	prog.Eval(slots)
 	var total float64
-	for _, c := range constraints {
-		total += penalty(c, env)
+	for k := 0; k < prog.Constraints(); k++ {
+		total += rootPenalty(prog.Root(k))
 	}
 	return total
 }
 
-// penalty returns 0 when the width-1 constraint holds, and a positive
-// distance measure otherwise, shaped so hill climbing has gradients on
-// comparisons.
-func penalty(c sym.Expr, env map[string]uint64) float64 {
-	if sym.Eval(c, env) == 1 {
+// rootPenalty returns 0 when a width-1 constraint of value v holds, and
+// a positive distance measure otherwise, shaped so hill climbing has
+// gradients on comparisons: op, a and b are the root comparison and its
+// operand values (op is 0 for any other root).
+func rootPenalty(v uint64, op sym.BinOp, a, b uint64) float64 {
+	if v == 1 {
 		return 0
 	}
-	if b, ok := c.(*sym.Bin); ok && b.Op.IsCompare() {
-		av := sym.Eval(b.A, env)
-		bv := sym.Eval(b.B, env)
-		switch b.Op {
-		case sym.OpFEq, sym.OpFLt, sym.OpFLe:
-			fa, fb := math.Float64frombits(av), math.Float64frombits(bv)
-			if math.IsNaN(fa) || math.IsNaN(fb) {
-				return 1e6
-			}
-			return 1 + math.Min(1e6, math.Abs(fa-fb))
-		default:
-			d := float64(av) - float64(bv)
-			return 1 + math.Min(1e6, math.Abs(d))
+	switch op {
+	case 0:
+		return 1000 // unsatisfied non-comparison: flat penalty
+	case sym.OpFEq, sym.OpFLt, sym.OpFLe:
+		fa, fb := math.Float64frombits(a), math.Float64frombits(b)
+		if math.IsNaN(fa) || math.IsNaN(fb) {
+			return 1e6
 		}
+		return 1 + math.Min(1e6, math.Abs(fa-fb))
+	default:
+		d := float64(a) - float64(b)
+		return 1 + math.Min(1e6, math.Abs(d))
 	}
-	return 1000 // unsatisfied non-comparison: flat penalty
 }

@@ -406,9 +406,10 @@ func smtExpr(e Expr) string {
 // plain recursive walk to a memoized one. The memo exists to tame
 // exponential tree blowup on heavily-shared DAGs, where the tree count
 // dwarfs this threshold immediately; flat terms with little sharing
-// stay on the allocation-free walk, which matters because the FP local
-// search evaluates the same modest terms hundreds of thousands of
-// times and a per-call map there costs more than the walk itself.
+// stay on the allocation-free walk. Those are most of what Eval sees:
+// model minimization and validation re-evaluate every constraint of a
+// system once per variable, and a per-call map on such a term costs
+// more than walking it.
 const evalMemoMin = 4096
 
 // Eval computes the concrete value of e under the environment (variable
@@ -451,40 +452,9 @@ func evalNode(e Expr, env map[string]uint64, memo map[Expr]uint64) uint64 {
 	case *Bin:
 		a := evalExpr(t.A, env, memo)
 		b := evalExpr(t.B, env, memo)
-		if t.Op == OpConcat {
-			return ((a << uint(t.B.Width())) | b) & mask(t.w)
-		}
-		return evalBin(t.Op, a, b, t.A.Width()) & mask(t.w)
+		return binValue(t.Op, a, b, t.A.Width(), t.B.Width(), t.w)
 	case *Un:
-		a := evalExpr(t.A, env, memo)
-		switch t.Op {
-		case OpNot:
-			return ^a & mask(t.w)
-		case OpNeg:
-			return (-a) & mask(t.w)
-		case OpZExt:
-			return a
-		case OpSExt:
-			return signExtend(a, t.A.Width()) & mask(t.w)
-		case OpExtract:
-			return (a >> uint(t.Arg2)) & mask(t.w)
-		case OpI2F:
-			return math.Float64bits(float64(int64(signExtend(a, t.A.Width()))))
-		case OpF2I:
-			f := math.Float64frombits(a)
-			switch {
-			case math.IsNaN(f):
-				return 0
-			case f >= math.MaxInt64:
-				return math.MaxInt64
-			case f <= math.MinInt64:
-				return 0x8000_0000_0000_0000
-			default:
-				return uint64(int64(f))
-			}
-		case OpBoolNot:
-			return (a ^ 1) & 1
-		}
+		return evalUn(t.Op, evalExpr(t.A, env, memo), t.A.Width(), t.w, t.Arg2)
 	case *ITE:
 		if evalExpr(t.Cond, env, memo)&1 == 1 {
 			return evalExpr(t.Then, env, memo)
@@ -507,6 +477,49 @@ func signExtend(v uint64, w int) uint64 {
 func boolBit(b bool) uint64 {
 	if b {
 		return 1
+	}
+	return 0
+}
+
+// binValue is the value of a w-bit binary node whose operands a and b
+// are aw and bw bits wide.
+func binValue(op BinOp, a, b uint64, aw, bw, w int) uint64 {
+	if op == OpConcat {
+		return ((a << uint(bw)) | b) & mask(w)
+	}
+	return evalBin(op, a, b, aw) & mask(w)
+}
+
+// evalUn is the value of a w-bit unary node over an aw-bit operand a;
+// lo is the low bit of an extraction.
+func evalUn(op UnOp, a uint64, aw, w, lo int) uint64 {
+	switch op {
+	case OpNot:
+		return ^a & mask(w)
+	case OpNeg:
+		return (-a) & mask(w)
+	case OpZExt:
+		return a
+	case OpSExt:
+		return signExtend(a, aw) & mask(w)
+	case OpExtract:
+		return (a >> uint(lo)) & mask(w)
+	case OpI2F:
+		return math.Float64bits(float64(int64(signExtend(a, aw))))
+	case OpF2I:
+		f := math.Float64frombits(a)
+		switch {
+		case math.IsNaN(f):
+			return 0
+		case f >= math.MaxInt64:
+			return math.MaxInt64
+		case f <= math.MinInt64:
+			return 0x8000_0000_0000_0000
+		default:
+			return uint64(int64(f))
+		}
+	case OpBoolNot:
+		return (a ^ 1) & 1
 	}
 	return 0
 }
