@@ -26,10 +26,7 @@ func NewBin(op BinOp, a, b Expr) Expr {
 	ca, aConst := a.(*Const)
 	cb, bConst := b.(*Const)
 	if aConst && bConst {
-		if op == OpConcat {
-			return NewConst((ca.V<<uint(b.Width()))|cb.V, w)
-		}
-		return NewConst(evalBin(op, ca.V, cb.V, a.Width()), w)
+		return NewConst(binValue(op, ca.V, cb.V, a.Width(), b.Width(), w), w)
 	}
 
 	// Identities with a constant on one side.
@@ -226,7 +223,7 @@ func NewITE(cond, then, els Expr) Expr {
 // NewI2F converts a signed 64-bit integer to f64 bits.
 func NewI2F(a Expr) Expr {
 	if c, ok := a.(*Const); ok {
-		return NewConst(Eval(&Un{Op: OpI2F, A: c, w: 64}, nil), 64)
+		return NewConst(evalUn(OpI2F, c.V, c.W, 64, 0), 64)
 	}
 	return internUn(OpI2F, a, 0, 0, 64)
 }
@@ -234,7 +231,7 @@ func NewI2F(a Expr) Expr {
 // NewF2I truncates f64 bits to a signed 64-bit integer.
 func NewF2I(a Expr) Expr {
 	if c, ok := a.(*Const); ok {
-		return NewConst(Eval(&Un{Op: OpF2I, A: c, w: 64}, nil), 64)
+		return NewConst(evalUn(OpF2I, c.V, c.W, 64, 0), 64)
 	}
 	return internUn(OpF2I, a, 0, 0, 64)
 }
