@@ -64,7 +64,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkInputKey' ./internal/core/...
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheSolveHit|BenchmarkSolveUncached|BenchmarkCanonicalKey' ./internal/solver/...
 	$(GO) test -run '^$$' -bench 'BenchmarkRoundFresh' -benchtime 3x ./internal/solver/
-	$(GO) test -run '^$$' -bench 'BenchmarkFPLocalSearch|BenchmarkFPSearchUnknown' -benchmem ./internal/solver/
+	$(GO) test -run '^$$' -bench 'BenchmarkFPLocalSearch|BenchmarkFPSearchUnknown|BenchmarkCacheMissSequence' -benchmem ./internal/solver/
 	$(GO) test -run '^$$' -bench 'BenchmarkCanonicalKeyInterned|BenchmarkCanonicalKeyStable|BenchmarkInternConstruct' ./internal/sym/
 	$(GO) test -run '^$$' -bench 'BenchmarkBitblastSharedDAG' -benchtime 3x ./internal/bitblast/
 

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/bin"
@@ -312,6 +313,11 @@ type Engine struct {
 	cache     *solver.Cache
 	stats     Stats
 	arena0    sym.ArenaStats // arena counters at Explore entry, for deltas
+
+	// Idle trace buffers of recorded runs, reused across rounds (see
+	// takeTrace): at most one per round that ran concurrently.
+	traceMu sync.Mutex
+	traces  []*trace.Trace
 
 	// Coverage state (see coverage.go). cov is the engine's own
 	// cumulative tracker — the deterministic scoring and goal view;

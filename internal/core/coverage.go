@@ -158,7 +158,7 @@ func (en *Engine) breed() bool {
 			continue
 		}
 		en.fuzzSeen[key] = true
-		_, res, err := en.runConcrete(in, false)
+		_, res, err := en.runConcrete(in, nil)
 		if err != nil {
 			continue
 		}

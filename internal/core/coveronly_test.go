@@ -53,13 +53,14 @@ func TestCoverageOnlyMatchesTrace(t *testing.T) {
 			inputs = append(inputs, in)
 		}
 
+		tr := &trace.Trace{} // reused: each recorded run truncates it
 		for _, in := range inputs {
 			name := b.Name + "/" + in.Argv1
-			_, full, err := en.runConcrete(in, true)
+			_, full, err := en.runConcrete(in, tr)
 			if err != nil {
 				t.Fatalf("%s: recorded run: %v", name, err)
 			}
-			_, got, err := en.runConcrete(in, false)
+			_, got, err := en.runConcrete(in, nil)
 			if err != nil {
 				t.Fatalf("%s: coverage-only run: %v", name, err)
 			}

@@ -268,7 +268,12 @@ func (en *Engine) runRound(c candidate, idx int) *roundRec {
 		return rec
 	}
 
-	m, res, err := en.runConcrete(in, true)
+	// The trace buffer goes back when symexec and negate are done with
+	// it: nothing the round records keeps an entry (incidents and
+	// constraints hold indices).
+	tr := en.takeTrace()
+	defer en.putTrace(tr)
+	m, res, err := en.runConcrete(in, tr)
 	if err != nil {
 		rec.emit(event{kind: evTerminal, verdict: VerdictCrashed, detail: err.Error()})
 		return rec
@@ -349,11 +354,13 @@ func (en *Engine) runRound(c candidate, idx int) *roundRec {
 // entry point, on a machine that clones the engine's loaded program.
 // Shared by concolic rounds and fuzz breed executions.
 //
-// Every run builds Result.Cover. With record off the run is
-// coverage-only: no trace is kept, which is all a fuzz mutant needs.
-func (en *Engine) runConcrete(in target.Input, record bool) (*gos.Machine, *gos.Result, error) {
+// Every run builds Result.Cover. With a trace buffer the run records
+// into it; with tr nil the run is coverage-only: no trace is kept,
+// which is all a fuzz mutant needs.
+func (en *Engine) runConcrete(in target.Input, tr *trace.Trace) (*gos.Machine, *gos.Result, error) {
 	cfg := in.Config()
-	cfg.Record = record
+	cfg.Record = tr != nil
+	cfg.TraceBuf = tr
 	cfg.Cover = true
 	cfg.CoverLeaders = en.leaders
 	cfg.MaxSteps = en.caps.StepBudget
@@ -365,6 +372,31 @@ func (en *Engine) runConcrete(in target.Input, record bool) (*gos.Machine, *gos.
 	}
 	m := gos.NewProgram(en.prog, cfg)
 	return m, m.Run(), nil
+}
+
+// takeTrace returns an idle trace buffer, or a new one when every
+// buffer is in use by a running round.
+func (en *Engine) takeTrace() *trace.Trace {
+	en.traceMu.Lock()
+	defer en.traceMu.Unlock()
+	n := len(en.traces)
+	if n == 0 {
+		return &trace.Trace{}
+	}
+	tr := en.traces[n-1]
+	en.traces[n-1] = nil
+	en.traces = en.traces[:n-1]
+	return tr
+}
+
+// putTrace returns a round's trace buffer to the idle list, clearing
+// its entries first so their syscall and exception events can be freed.
+func (en *Engine) putTrace(tr *trace.Trace) {
+	clear(tr.Entries)
+	tr.Entries = tr.Entries[:0]
+	en.traceMu.Lock()
+	en.traces = append(en.traces, tr)
+	en.traceMu.Unlock()
 }
 
 // negate builds and solves the negation of each explorable constraint

@@ -46,6 +46,11 @@ type Config struct {
 	Quantum int
 	// Record enables full trace recording.
 	Record bool
+	// TraceBuf, when set, is the trace a recording run appends to, in
+	// place of a new one: the run truncates it first, so an engine reuses
+	// one buffer across runs. Result.Trace is then TraceBuf, and the
+	// previous run's entries are gone.
+	TraceBuf *trace.Trace
 	// Cover builds Result.Cover as the run executes: the edges between
 	// consecutive PCs of each thread and the executed blocks, the same
 	// set cover.FromTrace folds from a recorded trace. With Record off
@@ -249,7 +254,11 @@ func NewProgram(prog *vm.Program, cfg Config) *Machine {
 		nextPipe: 1,
 	}
 	if cfg.Record {
-		m.tr = &trace.Trace{}
+		m.tr = cfg.TraceBuf
+		if m.tr == nil {
+			m.tr = &trace.Trace{}
+		}
+		m.tr.Entries = m.tr.Entries[:0]
 	}
 	if cfg.Cover {
 		m.cov = cover.NewSet()

@@ -1,6 +1,7 @@
 package gos
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -519,6 +520,60 @@ _start:
 	}
 	if !strings.Contains(res.Trace.Dump(false), "sys=time") {
 		t.Error("trace dump should mention sys=time")
+	}
+}
+
+// TestTraceBufReused records a short run into a buffer a longer run
+// left full. Its entries must equal a run into a fresh trace, with
+// nothing of the longer run left past them.
+func TestTraceBufReused(t *testing.T) {
+	img := build(t, `
+_start:
+    ld.q r3, [r2+8]   ; argv[1]
+    mov r4, 0
+.loop:
+    ld.b r5, [r3+0]   ; strlen: one iteration per byte
+    cmp r5, 0
+    je .done
+    add r3, 1
+    add r4, 1
+    jmp .loop
+.done:
+    mov r0, 3         ; write(stdout, argv[1], len)
+    mov r1, 1
+    ld.q r2, [r2+8]
+    mov r3, r4
+    syscall
+    mov r0, 1
+    mov r1, r4
+    syscall
+`)
+	run := func(arg string, buf *trace.Trace) *Result {
+		t.Helper()
+		m, err := New(img, Config{Argv: []string{"prog", arg}, Record: true, TraceBuf: buf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Run()
+	}
+	want := run("ab", nil)
+
+	buf := &trace.Trace{}
+	long := run("abcdefghijklmnop", buf)
+	if long.Trace != buf || long.Trace.Len() <= want.Trace.Len() {
+		t.Fatalf("long run: trace %p (buffer %p), %d entries vs %d", long.Trace, buf,
+			long.Trace.Len(), want.Trace.Len())
+	}
+	got := run("ab", buf)
+	if got.Trace != buf {
+		t.Fatalf("reused run recorded into %p, not the buffer %p", got.Trace, buf)
+	}
+	if !reflect.DeepEqual(got.Trace.Entries, want.Trace.Entries) {
+		t.Errorf("reused buffer: %d entries\n%s\nfresh trace: %d entries\n%s",
+			got.Trace.Len(), got.Trace.Dump(false), want.Trace.Len(), want.Trace.Dump(false))
+	}
+	if got.Stdout != "ab" || got.ExitStatus != 2 {
+		t.Errorf("reused run: stdout %q, exit %d", got.Stdout, got.ExitStatus)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/sat"
 	"repro/internal/sym"
 )
 
@@ -41,6 +42,13 @@ import (
 // sym.StableKey stored with it); that key is computed only on non-sat
 // stores and non-sat tier hits.
 //
+// A miss solves on one of the cache's own SAT solvers. A solver goes
+// back Reset, keeping the buffers earlier queries grew, so a query
+// allocates only where it outgrows them; Reset makes the reuse
+// invisible to the search (DESIGN.md §9). A miss finding no idle solver
+// makes one, so the cache keeps at most as many solvers as it has seen
+// concurrent misses, and they are freed with it.
+//
 // A Cache is safe for concurrent use by multiple goroutines.
 type Cache struct {
 	mu      sync.Mutex
@@ -48,6 +56,7 @@ type Cache struct {
 	ll      *list.List // front = most recent
 	entries map[string]*list.Element
 	shared  QueryCache
+	idle    []*sat.Solver // Reset solvers between misses
 
 	hits, misses, evictions, bypasses      uint64
 	sharedHits, sharedMisses, sharedStores uint64
@@ -91,7 +100,9 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// NewCache returns an empty cache bounded to capacity entries.
+// NewCache returns an empty cache bounded to capacity entries. The
+// entry map grows as it fills: most engines issue far fewer queries
+// than the bound.
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheSize
@@ -99,7 +110,7 @@ func NewCache(capacity int) *Cache {
 	return &Cache{
 		cap:     capacity,
 		ll:      list.New(),
-		entries: make(map[string]*list.Element, capacity),
+		entries: make(map[string]*list.Element),
 	}
 }
 
@@ -179,7 +190,9 @@ func (c *Cache) SolveContext(ctx context.Context, constraints []sym.Expr, opts O
 		c.mu.Unlock()
 	}
 
-	st, model, conflicts, timedOut, err := solveBV(ctx, constraints, opts)
+	s := c.takeSolver()
+	st, model, conflicts, timedOut, err := solveBV(ctx, s, constraints, opts)
+	c.putSolver(s)
 	if err != nil {
 		return Result{}, err
 	}
@@ -211,6 +224,28 @@ func finishBV(res cachedResult, constraints []sym.Expr, opts Options) Result {
 	completeModel(model, constraints, opts.Seed)
 	minimizeModel(model, constraints, opts.Seed)
 	return Result{Status: StatusSat, Model: model, Conflicts: res.conflicts}
+}
+
+// takeSolver returns an idle solver, or a new one when all are busy.
+func (c *Cache) takeSolver() *sat.Solver {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.idle)
+	if n == 0 {
+		return sat.New()
+	}
+	s := c.idle[n-1]
+	c.idle[n-1] = nil
+	c.idle = c.idle[:n-1]
+	return s
+}
+
+// putSolver resets s and returns it to the idle list.
+func (c *Cache) putSolver(s *sat.Solver) {
+	s.Reset()
+	c.mu.Lock()
+	c.idle = append(c.idle, s)
+	c.mu.Unlock()
 }
 
 func (c *Cache) lookup(key string) (cachedResult, bool) {

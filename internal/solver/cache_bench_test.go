@@ -60,3 +60,23 @@ func BenchmarkCanonicalKey(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCacheMissSequence solves on one cache query after query, every
+// one a miss: a one-entry cache alternates a 12-bit factoring system
+// and a 24-byte equality chain, so each evicts the other. Its allocs/op
+// show what a miss allocates once the cache's SAT solver has grown.
+func BenchmarkCacheMissSequence(b *testing.B) {
+	c := NewCache(1)
+	systems := [][]sym.Expr{stressFactorSystem(12, 43*47), benchSystem(24)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r, err := c.Solve(systems[i%2], Options{})
+		if err != nil || r.Status != StatusSat {
+			b.Fatalf("status %v err %v", r.Status, err)
+		}
+	}
+	b.StopTimer()
+	if st := c.Stats(); st.Hits != 0 {
+		b.Fatalf("%d hits, want every query to miss", st.Hits)
+	}
+}

@@ -71,6 +71,44 @@ func TestCacheTransparency(t *testing.T) {
 	if st := c.Stats(); st.Hits != uint64(len(seeds)-1) {
 		t.Errorf("hits = %d, want %d (same system, varying seeds)", st.Hits, len(seeds)-1)
 	}
+
+	// Misses on one cache reuse its SAT solvers, Reset between queries:
+	// a large system first grows the buffers, then the small ones run on
+	// the same solver. Each must still decide, and count conflicts,
+	// exactly as the package-level Solve on a new solver.
+	misses := []struct {
+		name string
+		sys  []sym.Expr
+		seed map[string]uint64
+	}{
+		{"factor-16", stressFactorSystem(16, 65521*65519), nil},
+		{"x+y=10", sys(), map[string]uint64{"x": 3, "y": 7}},
+		{"unsat", []sym.Expr{
+			sym.NewBin(sym.OpEq, sym.NewVar("u", 8), sym.NewConst(1, 8)),
+			sym.NewBin(sym.OpEq, sym.NewVar("u", 8), sym.NewConst(2, 8)),
+		}, nil},
+		{"factor-8", stressFactorSystem(8, 143), map[string]uint64{"a": 2, "b": 3}},
+		{"x=7", eqSys("x", 7), map[string]uint64{"x": 1}},
+	}
+	c = NewCache(16)
+	for _, m := range misses {
+		opts := Options{MaxConflicts: 20_000, Seed: m.seed}
+		want, err := Solve(m.sys, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Solve(m.sys, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: cache %v/%d conflicts/%v, direct %v/%d conflicts/%v", m.name,
+				got.Status, got.Conflicts, got.Model, want.Status, want.Conflicts, want.Model)
+		}
+	}
+	if st := c.Stats(); st.Misses != uint64(len(misses)) || st.Hits != 0 {
+		t.Errorf("hits/misses = %d/%d, want 0/%d", st.Hits, st.Misses, len(misses))
+	}
 }
 
 func TestCacheUnsatAndMutationIsolation(t *testing.T) {

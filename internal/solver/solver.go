@@ -20,7 +20,6 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/bitblast"
@@ -126,7 +125,7 @@ func SolveContext(ctx context.Context, constraints []sym.Expr, opts Options) (Re
 		return solveFloat(ctx, constraints, opts), nil
 	}
 
-	st, model, conflicts, _, err := solveBV(ctx, constraints, opts)
+	st, model, conflicts, _, err := solveBV(ctx, sat.New(), constraints, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -174,20 +173,15 @@ func solveFloat(ctx context.Context, constraints []sym.Expr, opts Options) Resul
 	return fpSearch(ctx, constraints, opts)
 }
 
-// satPool holds SAT solvers between fresh queries. A solver goes back
-// Reset, keeping the buffers earlier queries grew, so a query allocates
-// only where it outgrows them. Reset makes the reuse invisible to the
-// search (DESIGN.md §9).
-var satPool = sync.Pool{New: func() any { return sat.New() }}
-
-// solveBV decides a float-free system by bit-blasting. The returned model
+// solveBV decides a float-free system by bit-blasting on s, which must
+// be new or Reset; the caller resets it for reuse. The returned model
 // is raw — straight from the SAT assignment, before seed completion and
 // minimization — so its value depends only on the constraint slice and
 // the conflict budget, never on the caller's seed. timedOut reports that
 // an Unknown verdict was (or may have been) caused by the wall-clock
 // deadline or by context cancellation rather than the deterministic
 // conflict budget.
-func solveBV(ctx context.Context, constraints []sym.Expr, opts Options) (st Status, model map[string]uint64, conflicts int64, timedOut bool, err error) {
+func solveBV(ctx context.Context, s *sat.Solver, constraints []sym.Expr, opts Options) (st Status, model map[string]uint64, conflicts int64, timedOut bool, err error) {
 	var deadline time.Time
 	if opts.Timeout > 0 {
 		deadline = time.Now().Add(opts.Timeout)
@@ -198,11 +192,6 @@ func solveBV(ctx context.Context, constraints []sym.Expr, opts Options) (st Stat
 	expired := func() bool {
 		return ctx.Err() != nil || (!deadline.IsZero() && time.Now().After(deadline))
 	}
-	s := satPool.Get().(*sat.Solver)
-	defer func() {
-		s.Reset()
-		satPool.Put(s)
-	}()
 	enc := bitblast.New(s)
 	for _, c := range constraints {
 		if expired() {

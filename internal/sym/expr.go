@@ -275,42 +275,59 @@ func VarWidths(exprs ...Expr) map[string]int {
 	return set
 }
 
-// HasFloat reports whether any float operator appears in the expressions.
-func HasFloat(exprs ...Expr) bool {
-	found := false
-	seen := make(map[Expr]bool)
-	var walk func(Expr)
-	walk = func(e Expr) {
-		if found || seen[e] {
-			return
-		}
-		seen[e] = true
-		switch t := e.(type) {
-		case *Bin:
-			if t.Op.IsFloat() {
-				found = true
-				return
-			}
-			walk(t.A)
-			walk(t.B)
-		case *Un:
-			if t.Op == OpI2F || t.Op == OpF2I {
-				found = true
-				return
-			}
-			walk(t.A)
-		case *ITE:
-			walk(t.Cond)
-			walk(t.Then)
-			walk(t.Else)
-		}
-	}
+// HasFloat reports whether any float operator (a float BinOp, OpI2F or
+// OpF2I) appears in the expressions.
+func HasFloat(exprs ...Expr) bool { return anyFlag(flFloat, exprs) }
+
+// HasEnvVar reports whether any variable named EnvVarPrefix + ...
+// appears in the expressions.
+func HasEnvVar(exprs ...Expr) bool { return anyFlag(flEnv, exprs) }
+
+// anyFlag reports whether flag f is set on any of the expressions. For
+// constructor-built nodes it is a field read; raw trees are walked with
+// a memo, as Digest and TreeNodes do.
+func anyFlag(f uint8, exprs []Expr) bool {
+	var memo map[Expr]bool
 	for _, e := range exprs {
-		if e != nil {
-			walk(e)
+		if e == nil {
+			continue
+		}
+		if m := meta(e); m != nil && m.fl != 0 {
+			if m.fl&f != 0 {
+				return true
+			}
+			continue
+		}
+		if memo == nil {
+			memo = make(map[Expr]bool)
+		}
+		if flagWalk(e, f, memo) {
+			return true
 		}
 	}
-	return found
+	return false
+}
+
+func flagWalk(e Expr, f uint8, memo map[Expr]bool) bool {
+	if m := meta(e); m != nil && m.fl != 0 {
+		return m.fl&f != 0
+	}
+	if v, ok := memo[e]; ok {
+		return v
+	}
+	var v bool
+	switch t := e.(type) {
+	case *Var:
+		v = varFlags(t.Name)&f != 0
+	case *Bin:
+		v = binFlags(t.Op)&f != 0 || flagWalk(t.A, f, memo) || flagWalk(t.B, f, memo)
+	case *Un:
+		v = unFlags(t.Op)&f != 0 || flagWalk(t.A, f, memo)
+	case *ITE:
+		v = flagWalk(t.Cond, f, memo) || flagWalk(t.Then, f, memo) || flagWalk(t.Else, f, memo)
+	}
+	memo[e] = v
+	return v
 }
 
 // Size returns the number of distinct nodes in the expression DAG.

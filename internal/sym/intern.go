@@ -6,7 +6,8 @@ package sym
 // term twice — in the same goroutine or from concurrent engine workers —
 // returns the same *Const/*Var/*Bin/*Un/*ITE pointer. Each interned node
 // carries a precomputed 64-bit structural digest, a saturating tree-node
-// count and a unique intern id, all assigned exactly once at
+// count, flags summarizing the subtree (float operators, environment
+// variables) and a unique intern id, all assigned exactly once at
 // construction.
 //
 // The invariant the rest of the pipeline builds on:
@@ -39,6 +40,7 @@ package sym
 // until passed through Intern.
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -46,11 +48,56 @@ import (
 // hc is the hash-consing metadata embedded in every node. id is the
 // unique intern id (0 = not interned), dig the 64-bit structural digest
 // (0 = not yet computed; computed digests are never 0), tn the
-// saturating tree-node count (0 = unknown).
+// saturating tree-node count (0 = unknown), fl the subtree's node flags
+// (0 = unknown).
 type hc struct {
 	id  uint64
 	dig uint64
 	tn  uint64
+	fl  uint8
+}
+
+// Node flags summarize what a subtree contains, so HasFloat and
+// HasEnvVar are a field read on constructor-built nodes.
+const (
+	flKnown uint8 = 1 << iota // the other bits are valid
+	flFloat                   // a float operator: float BinOp, OpI2F or OpF2I
+	flEnv                     // a variable named EnvVarPrefix + ...
+)
+
+// EnvVarPrefix starts the names of undeclared environment-derived
+// variables (see package symexec).
+const EnvVarPrefix = "env!"
+
+func varFlags(name string) uint8 {
+	if strings.HasPrefix(name, EnvVarPrefix) {
+		return flKnown | flEnv
+	}
+	return flKnown
+}
+
+func binFlags(op BinOp) uint8 {
+	if op.IsFloat() {
+		return flKnown | flFloat
+	}
+	return flKnown
+}
+
+func unFlags(op UnOp) uint8 {
+	if op == OpI2F || op == OpF2I {
+		return flKnown | flFloat
+	}
+	return flKnown
+}
+
+// joinFlags adds the children's flags to a node's own; the result is
+// unknown (0) unless every child's flags are known. A missing child
+// passes flKnown.
+func joinFlags(own, a, b, c uint8) uint8 {
+	if a&b&c&flKnown == 0 {
+		return 0
+	}
+	return own | a | b | c
 }
 
 // meta returns the node's embedded metadata, or nil for foreign Expr
@@ -368,9 +415,10 @@ func (a *arenaT) room() bool { return a.size.Load() < a.cap }
 
 // admit stamps a freshly created node and accounts for it. Must be
 // called with the shard lock held, after inserting into the map.
-func (a *arenaT) admit(m *hc, dig, tn uint64) {
+func (a *arenaT) admit(m *hc, dig, tn uint64, fl uint8) {
 	m.dig = dig
 	m.tn = tn
+	m.fl = fl
 	m.id = a.nextID.Add(1)
 	a.size.Add(1)
 	a.misses.Add(1)
@@ -397,11 +445,11 @@ func internConst(w int, v uint64) *Const {
 	n = &Const{W: w, V: v}
 	if !arena.room() {
 		arena.fallbacks.Add(1)
-		n.hc = hc{dig: dig, tn: 1}
+		n.hc = hc{dig: dig, tn: 1, fl: flKnown}
 		return n
 	}
 	sh.consts[key] = n
-	arena.admit(&n.hc, dig, 1)
+	arena.admit(&n.hc, dig, 1, flKnown)
 	return n
 }
 
@@ -426,11 +474,11 @@ func internVar(name string, w int) *Var {
 	n = &Var{Name: name, W: w}
 	if !arena.room() {
 		arena.fallbacks.Add(1)
-		n.hc = hc{dig: dig, tn: 1}
+		n.hc = hc{dig: dig, tn: 1, fl: varFlags(name)}
 		return n
 	}
 	sh.vars[key] = n
-	arena.admit(&n.hc, dig, 1)
+	arena.admit(&n.hc, dig, 1, varFlags(name))
 	return n
 }
 
@@ -445,6 +493,7 @@ func internBin(op BinOp, a, b Expr, w int) *Bin {
 			n.hc = hc{
 				dig: digestBin(op, w, ma.dig, mb.dig),
 				tn:  satAdd(1, satAdd(ma.tn, mb.tn)),
+				fl:  joinFlags(binFlags(op), ma.fl, mb.fl, flKnown),
 			}
 		}
 		return n
@@ -467,13 +516,14 @@ func internBin(op BinOp, a, b Expr, w int) *Bin {
 	}
 	n = &Bin{Op: op, A: a, B: b, w: w}
 	tn := satAdd(1, satAdd(ma.tn, mb.tn))
+	fl := joinFlags(binFlags(op), ma.fl, mb.fl, flKnown)
 	if !arena.room() {
 		arena.fallbacks.Add(1)
-		n.hc = hc{dig: dig, tn: tn}
+		n.hc = hc{dig: dig, tn: tn, fl: fl}
 		return n
 	}
 	sh.bins[key] = n
-	arena.admit(&n.hc, dig, tn)
+	arena.admit(&n.hc, dig, tn, fl)
 	return n
 }
 
@@ -486,6 +536,7 @@ func internUn(op UnOp, a Expr, arg, arg2, w int) *Un {
 			n.hc = hc{
 				dig: digestUn(op, w, arg, arg2, ma.dig),
 				tn:  satAdd(1, ma.tn),
+				fl:  joinFlags(unFlags(op), ma.fl, flKnown, flKnown),
 			}
 		}
 		return n
@@ -508,13 +559,14 @@ func internUn(op UnOp, a Expr, arg, arg2, w int) *Un {
 	}
 	n = &Un{Op: op, A: a, Arg: arg, Arg2: arg2, w: w}
 	tn := satAdd(1, ma.tn)
+	fl := joinFlags(unFlags(op), ma.fl, flKnown, flKnown)
 	if !arena.room() {
 		arena.fallbacks.Add(1)
-		n.hc = hc{dig: dig, tn: tn}
+		n.hc = hc{dig: dig, tn: tn, fl: fl}
 		return n
 	}
 	sh.uns[key] = n
-	arena.admit(&n.hc, dig, tn)
+	arena.admit(&n.hc, dig, tn, fl)
 	return n
 }
 
@@ -528,6 +580,7 @@ func internITE(cond, then, els Expr) *ITE {
 			n.hc = hc{
 				dig: digestITE(mc.dig, mt.dig, me.dig),
 				tn:  satAdd(1, satAdd(mc.tn, satAdd(mt.tn, me.tn))),
+				fl:  joinFlags(flKnown, mc.fl, mt.fl, me.fl),
 			}
 		}
 		return n
@@ -550,13 +603,14 @@ func internITE(cond, then, els Expr) *ITE {
 	}
 	n = &ITE{Cond: cond, Then: then, Else: els}
 	tn := satAdd(1, satAdd(mc.tn, satAdd(mt.tn, me.tn)))
+	fl := joinFlags(flKnown, mc.fl, mt.fl, me.fl)
 	if !arena.room() {
 		arena.fallbacks.Add(1)
-		n.hc = hc{dig: dig, tn: tn}
+		n.hc = hc{dig: dig, tn: tn, fl: fl}
 		return n
 	}
 	sh.ites[key] = n
-	arena.admit(&n.hc, dig, tn)
+	arena.admit(&n.hc, dig, tn, fl)
 	return n
 }
 

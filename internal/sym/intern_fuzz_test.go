@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -8,8 +9,10 @@ import (
 // expression systems, the canonical (hash-consed) build must be
 // observationally identical to the unshared struct-literal build — same
 // Eval under concrete environments, same CanonicalKey/StableKey, same
-// SMT-LIB printout. This is the property that lets every layer intern
-// freely without risking verdict or golden-output drift.
+// SMT-LIB printout, and the same HasFloat/HasEnvVar answers from the
+// interned nodes' flags as from a walk of the raw tree. This is the
+// property that lets every layer intern freely without risking verdict
+// or golden-output drift.
 //
 // Eval and SMTLib walk trees (exponential on shared DAGs), so those
 // comparisons are gated on a tree-size bound; key and digest
@@ -26,6 +29,11 @@ func FuzzInternEval(f *testing.F) {
 	// sensitive to the input's sharing pattern before it hash-consed
 	// locally.
 	f.Add([]byte("C000C000A012"))
+	// An env variable as the second operand of a float comparison, that
+	// comparison as the second operand of an integer add, and an add of
+	// the env variable alone: both flags must reach every root.
+	f.Add([]byte{1, 2, 3, 0, 2, 24, 0, 1, 2, 0, 0, 2, 2, 0, 1, 1,
+		5, 2, 0, 0, 5, 3, 0, 0, 5, 4, 0, 0, 5, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		raw := buildSystem(data, 0)
@@ -41,6 +49,23 @@ func FuzzInternEval(f *testing.F) {
 			if TreeNodes(raw[i]) != TreeNodes(shared[i]) {
 				t.Errorf("constraint %d: tree count differs raw vs interned", i)
 			}
+			// Interned nodes answer from their flags, raw ones by a walk.
+			if HasFloat(raw[i]) != HasFloat(shared[i]) {
+				t.Errorf("constraint %d: HasFloat %v (raw) vs %v (interned)", i, HasFloat(raw[i]), HasFloat(shared[i]))
+			}
+			if HasEnvVar(raw[i]) != HasEnvVar(shared[i]) {
+				t.Errorf("constraint %d: HasEnvVar %v (raw) vs %v (interned)", i, HasEnvVar(raw[i]), HasEnvVar(shared[i]))
+			}
+		}
+		if HasFloat(raw...) != HasFloat(shared...) || HasEnvVar(raw...) != HasEnvVar(shared...) {
+			t.Error("system flags differ between raw and interned builds")
+		}
+		envVar := false
+		for _, n := range Vars(raw...) {
+			envVar = envVar || strings.HasPrefix(n, EnvVarPrefix)
+		}
+		if HasEnvVar(shared...) != envVar {
+			t.Errorf("HasEnvVar %v, but the variables are %v", HasEnvVar(shared...), Vars(raw...))
 		}
 		if k1, k2 := CanonicalKey(raw), CanonicalKey(shared); k1 != k2 {
 			t.Error("CanonicalKey differs between raw and interned builds")

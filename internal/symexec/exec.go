@@ -599,7 +599,7 @@ func (x *exec) doBranch(t ir.CondBranch, e *trace.Entry) {
 		return
 	}
 	x.tainted = true
-	if containsEnvVar(cond) {
+	if sym.HasEnvVar(cond) {
 		x.incident(StageEs0, e, "branch depends on undeclared environment input: "+envVarList(cond))
 		return
 	}

@@ -289,8 +289,9 @@ func (r *Result) MinStage() (Stage, bool) {
 }
 
 // envPrefix marks undeclared environment-derived variables; constraints
-// over them are dropped with Es0.
-const envPrefix = "env!"
+// over them are dropped with Es0. The arena flags every node over one
+// (sym.HasEnvVar).
+const envPrefix = sym.EnvVarPrefix
 
 // simPrefix marks unconstrained simulation variables; models that bind
 // them cannot be realized as inputs (P outcomes).
@@ -512,22 +513,4 @@ func (x *exec) concMem(pid int) *mem.Memory {
 func (x *exec) newVar(name string, w int, seed uint64) sym.Expr {
 	x.res.Seed[name] = seed
 	return sym.NewVar(name, w)
-}
-
-func containsEnvVar(e sym.Expr) bool {
-	for _, n := range sym.Vars(e) {
-		if IsEnvVar(n) {
-			return true
-		}
-	}
-	return false
-}
-
-func containsSimVar(e sym.Expr) bool {
-	for _, n := range sym.Vars(e) {
-		if IsSimVar(n) {
-			return true
-		}
-	}
-	return false
 }
