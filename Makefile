@@ -34,7 +34,7 @@ build:
 race:
 	$(GO) test -race -count=1 ./internal/sym/... ./internal/sat/... ./internal/bitblast/... ./internal/core/... ./internal/cover/... ./internal/mutate/... ./internal/solver/... ./internal/service/... ./internal/mem/... ./internal/gos/... ./internal/lift/... ./internal/journal/... ./internal/jobstore/... ./internal/sharedcache/... ./internal/bombs/... ./internal/symexec/...
 	$(GO) test -race -count=1 -short ./internal/gofront/ ./internal/cliopts/ ./internal/target/ ./internal/suggest/
-	$(GO) test -race -count=1 -run 'TestGridExtended' ./internal/eval/
+	$(GO) test -race -count=1 -run 'TestGridExtended|TestRunCellShares' ./internal/eval/
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalKey -fuzztime=5s ./internal/sym/

@@ -41,12 +41,15 @@ type Stats struct {
 	CheckpointResumes int    `json:"checkpoint_resumes,omitempty" merge:"sum" help:"Always 0: kept for the repository benchmark, which still reads it; rounds always start from the program entry point."`
 	PagesCOWFaulted   uint64 `json:"pages_cow_faulted" merge:"sum" prom:"concolicd_checkpoint_cow_faults_total" help:"Guest memory pages copied on write from the boot image or from a forked parent."`
 
-	// Shared solver-cache tier (DESIGN.md §16); zero without
-	// Capabilities.SharedCache.
-	SharedCacheHits   uint64 `json:"sharedcache_hits" merge:"sum" prom:"concolicd_sharedcache_hits_total" help:"Local cache misses answered by the shared cache tier."`
+	// Shared solver-cache tier (DESIGN.md §16): concolicd's -sharedcache
+	// file tier, or the in-process tier eval.RunCell gives every cell;
+	// zero without Capabilities.SharedCache. Other engines read and write
+	// the same tier, so these count traffic that depends on what ran
+	// before in the fleet or the process, not on this call alone.
+	SharedCacheHits   uint64 `json:"sharedcache_hits" merge:"sum" prom:"concolicd_sharedcache_hits_total" help:"Local cache misses answered by the shared tier (concolicd's file tier or evaltable's in-process tier)."`
 	SharedCacheMisses uint64 `json:"sharedcache_misses" merge:"sum" prom:"concolicd_sharedcache_misses_total" help:"Shared-tier lookups that fell through to a local solve."`
-	SharedCacheStores uint64 `json:"sharedcache_stores" merge:"sum" prom:"concolicd_sharedcache_stores_total" help:"Locally solved queries written through to the shared tier."`
-	SharedCacheServed uint64 `json:"sharedcache_served" merge:"sum" prom:"concolicd_sharedcache_served_total" help:"Queries served by shared-tier-born entries (direct hits plus local re-hits)."`
+	SharedCacheStores uint64 `json:"sharedcache_stores" merge:"sum" prom:"concolicd_sharedcache_stores_total" help:"Locally solved queries written through to the shared tier, whose other engines may read them."`
+	SharedCacheServed uint64 `json:"sharedcache_served" merge:"sum" prom:"concolicd_sharedcache_served_total" help:"Queries served by entries another engine solved (direct shared-tier hits plus local re-hits)."`
 
 	// Coverage and hybrid fuzzing (DESIGN.md §15). Coverage is a function
 	// of the executed traces, so it is deterministic for a fixed seed

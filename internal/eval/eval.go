@@ -14,6 +14,7 @@ import (
 	"repro/internal/bombs"
 	"repro/internal/cliopts"
 	"repro/internal/core"
+	"repro/internal/solver"
 	"repro/internal/symexec"
 	"repro/internal/tools"
 )
@@ -135,8 +136,19 @@ func (g *Grid) Matches() (match, total int) {
 	return match, total
 }
 
-// RunCell evaluates one profile on one bomb.
+// cellTier is the solved-query tier shared by every engine RunCell
+// builds (DESIGN.md §16). The cells of one bomb issue the same negation
+// queries until their profiles' capability gaps diverge, so a later cell
+// reads what an earlier one solved instead of solving it again. Entries
+// are the seed-independent raw results a local solve would produce, so
+// only the SharedCache* counters of an outcome depend on which cells
+// ran before it in the process.
+var cellTier = solver.NewMemoryTier(solver.DefaultCacheSize)
+
+// RunCell evaluates one profile on one bomb. The engine shares cellTier
+// with every other cell.
 func RunCell(b *bombs.Bomb, p tools.Profile, paperIdx int) *Cell {
+	p.Caps.SharedCache = cellTier
 	en := core.New(b.Image(), b.BombAddr(), p.Caps)
 	out := en.Explore(b.Benign)
 	mech := Classify(out)
@@ -163,9 +175,10 @@ func RunCell(b *bombs.Bomb, p tools.Profile, paperIdx int) *Cell {
 type Options struct {
 	// Workers bounds how many grid cells run concurrently
 	// (<= 0: runtime.GOMAXPROCS(0)). Cells are independent — each builds
-	// its own engine and solver cache — and results are assembled by
+	// its own engine and solver cache, and the tier they share holds only
+	// what a local solve would return — and results are assembled by
 	// cell index, so the grid is identical at every worker count; only
-	// the wall time changes.
+	// the wall time and the SharedCache* counters change.
 	Workers int
 	// Engine is overlaid onto every profile by cliopts.Options.Apply,
 	// exactly as the CLIs and concolicd overlay it; its Workers is the

@@ -11,11 +11,12 @@ import (
 
 // scrubOutcome strips the Outcome fields that legitimately differ
 // between two explorations of the same cell: wall time, copied guest
-// pages, and the sym intern counters, which are deltas against a
-// process-global arena and therefore depend on what earlier grids
-// already interned. Everything else — verdict, solving input, rounds,
-// incidents, claims, solver-query and cache counters — must be
-// byte-identical.
+// pages, the sym intern counters, which are deltas against a
+// process-global arena, and the shared-tier counters, which count
+// traffic through the tier every RunCell engine shares; both depend on
+// what earlier grids already interned or solved. Everything else —
+// verdict, solving input, rounds, incidents, claims, solver-query and
+// local cache counters — must be byte-identical.
 func scrubOutcome(o *core.Outcome) core.Outcome {
 	c := *o
 	c.Stats.WallTime = 0
@@ -23,6 +24,10 @@ func scrubOutcome(o *core.Outcome) core.Outcome {
 	c.Stats.InternMisses = 0
 	c.Stats.ArenaNodes = 0
 	c.Stats.PagesCOWFaulted = 0
+	c.Stats.SharedCacheHits = 0
+	c.Stats.SharedCacheMisses = 0
+	c.Stats.SharedCacheStores = 0
+	c.Stats.SharedCacheServed = 0
 	return c
 }
 

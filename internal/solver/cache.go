@@ -27,9 +27,10 @@ import (
 // bypass the cache. Unknown verdicts caused by the wall-clock deadline
 // (as opposed to the deterministic conflict budget) are not stored.
 //
-// A Cache may be backed by a shared tier (SetShared): a persistent,
-// cross-replica QueryCache consulted on LRU misses and written through
-// on solves, keyed by cross-process-stable digests ("d:" +
+// A Cache may be backed by a shared tier (SetShared): a QueryCache that
+// outlives the cache, such as the persistent cross-replica file tier or
+// the in-process NewMemoryTier, consulted on LRU misses and written
+// through on solves, keyed by cross-process-stable digests ("d:" +
 // sym.DigestKey + ":" + conflict budget). Because tier entries hold the
 // same seed-independent raw results the LRU holds, a tier hit is
 // bit-for-bit what a local solve would have produced — replicas share
@@ -52,9 +53,7 @@ import (
 // A Cache is safe for concurrent use by multiple goroutines.
 type Cache struct {
 	mu      sync.Mutex
-	cap     int
-	ll      *list.List // front = most recent
-	entries map[string]*list.Element
+	entries *lru[cacheEntry]
 	shared  QueryCache
 	idle    []*sat.Solver // Reset solvers between misses
 
@@ -63,12 +62,11 @@ type Cache struct {
 	sharedServed                           uint64
 }
 
-// DefaultCacheSize is the entry bound used when NewCache is given a
-// non-positive capacity.
+// DefaultCacheSize is the entry bound used when NewCache or
+// NewMemoryTier is given a non-positive capacity.
 const DefaultCacheSize = 4096
 
 type cacheEntry struct {
-	key        string
 	res        cachedResult
 	fromShared bool // entry arrived from the shared tier, not a local solve
 }
@@ -100,22 +98,15 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// NewCache returns an empty cache bounded to capacity entries. The
-// entry map grows as it fills: most engines issue far fewer queries
-// than the bound.
+// NewCache returns an empty cache bounded to capacity entries
+// (DefaultCacheSize when capacity <= 0). The entry map grows as it
+// fills: most engines issue far fewer queries than the bound.
 func NewCache(capacity int) *Cache {
-	if capacity <= 0 {
-		capacity = DefaultCacheSize
-	}
-	return &Cache{
-		cap:     capacity,
-		ll:      list.New(),
-		entries: make(map[string]*list.Element),
-	}
+	return &Cache{entries: newLRU[cacheEntry](capacity)}
 }
 
-// SetShared installs (or, with nil, removes) the persistent tier
-// consulted on LRU misses. Call before the cache is in use; the tier
+// SetShared installs (or, with nil, removes) the shared tier consulted
+// on LRU misses. Call before the cache is in use; the tier
 // must be safe for concurrent use.
 func (c *Cache) SetShared(q QueryCache) {
 	c.mu.Lock()
@@ -132,7 +123,7 @@ func (c *Cache) Stats() CacheStats {
 		Evictions: c.evictions, Bypasses: c.bypasses,
 		SharedHits: c.sharedHits, SharedMisses: c.sharedMisses,
 		SharedStores: c.sharedStores, SharedServed: c.sharedServed,
-		Len: c.ll.Len(),
+		Len: c.entries.len(),
 	}
 }
 
@@ -251,37 +242,79 @@ func (c *Cache) putSolver(s *sat.Solver) {
 func (c *Cache) lookup(key string) (cachedResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		e := el.Value.(*cacheEntry)
-		if e.fromShared {
-			// A repeat of a query someone else solved: still their work.
-			c.sharedServed++
-		}
-		return e.res, true
+	e, ok := c.entries.get(key)
+	if !ok {
+		c.misses++
+		return cachedResult{}, false
 	}
-	c.misses++
-	return cachedResult{}, false
+	c.hits++
+	if e.fromShared {
+		// A repeat of a query someone else solved: still their work.
+		c.sharedServed++
+	}
+	return e.res, true
 }
 
 func (c *Cache) store(key string, res cachedResult) {
 	c.storeTagged(key, res, false)
 }
 
+// storeTagged adds an entry. A key already present keeps its entry: a
+// concurrent worker computed the same (deterministic) result.
 func (c *Cache) storeTagged(key string, res cachedResult, fromShared bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		// A concurrent worker computed the same (deterministic) result.
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, res: res, fromShared: fromShared})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-	}
+	c.evictions += uint64(c.entries.add(key, cacheEntry{res: res, fromShared: fromShared}))
 }
+
+// lru is a map from string keys bounded to its capacity, evicting the
+// least recently used entry. Its owner serialises access.
+type lru[V any] struct {
+	cap int
+	ll  *list.List // of *lruItem[V]; front = most recent
+	m   map[string]*list.Element
+}
+
+type lruItem[V any] struct {
+	key string
+	val V
+}
+
+// newLRU returns an empty lru bounded to capacity entries
+// (DefaultCacheSize when capacity <= 0). The map grows as it fills.
+func newLRU[V any](capacity int) *lru[V] {
+	if capacity <= 0 {
+		capacity = DefaultCacheSize
+	}
+	return &lru[V]{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
+}
+
+// get returns the value under key and marks it most recently used.
+func (l *lru[V]) get(key string) (V, bool) {
+	el, ok := l.m[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	l.ll.MoveToFront(el)
+	return el.Value.(*lruItem[V]).val, true
+}
+
+// add stores v under key unless the key is present, which only marks it
+// most recently used, and returns how many entries it evicted.
+func (l *lru[V]) add(key string, v V) (evicted int) {
+	if el, ok := l.m[key]; ok {
+		l.ll.MoveToFront(el)
+		return 0
+	}
+	l.m[key] = l.ll.PushFront(&lruItem[V]{key: key, val: v})
+	for l.ll.Len() > l.cap {
+		oldest := l.ll.Back()
+		l.ll.Remove(oldest)
+		delete(l.m, oldest.Value.(*lruItem[V]).key)
+		evicted++
+	}
+	return evicted
+}
+
+func (l *lru[V]) len() int { return l.ll.Len() }

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"encoding/hex"
+	"sync"
 
 	"repro/internal/sharedcache"
 	"repro/internal/sym"
@@ -20,8 +21,9 @@ type CachedResult struct {
 	Exact     string            // exactKey of the system; set unless Status is sat
 }
 
-// QueryCache is a persistent or remote tier behind the in-memory LRU
-// (see Cache.SetShared), such as the cross-replica sharedcache tier.
+// QueryCache is a tier behind a Cache's own LRU (see Cache.SetShared),
+// such as the cross-replica sharedcache tier or an in-process
+// NewMemoryTier shared by the engines of one process.
 // Keys are the caller's business; Cache keys tiers with
 // cross-process-stable digests ("d:" + sym.DigestKey + ":" + conflict
 // budget), so a tier implementation must treat them as opaque JSON-safe
@@ -59,6 +61,34 @@ func (s sharedTier) Store(key string, res CachedResult) {
 		Model:     res.Model,
 		Exact:     res.Exact,
 	})
+}
+
+// NewMemoryTier returns an in-process QueryCache: a mutex-guarded LRU
+// of CachedResults bounded to capacity entries (DefaultCacheSize when
+// capacity <= 0). Caches sharing it share their solved queries the way
+// replicas share the file tier, through the same digest keys and the
+// same validation, and nothing outlives the process. Lookup returns the
+// stored Model map itself: Cache only reads it and stores a copy.
+func NewMemoryTier(capacity int) QueryCache {
+	return &memoryTier{entries: newLRU[CachedResult](capacity)}
+}
+
+type memoryTier struct {
+	mu      sync.Mutex
+	entries *lru[CachedResult]
+}
+
+func (m *memoryTier) Lookup(key string) (CachedResult, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.entries.get(key)
+}
+
+// Store keeps the first entry under a key, as the file tier does.
+func (m *memoryTier) Store(key string, res CachedResult) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.entries.add(key, res)
 }
 
 // exactKey is the hex sym.StableKey of a system: the collision-checked

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/sharedcache"
@@ -156,4 +157,116 @@ func TestSharedTierStoresExactKeyOnNonSatOnly(t *testing.T) {
 	if !ok || s.Status != int(StatusSat) || s.Exact != "" {
 		t.Errorf("sat entry %+v (found %v), want no exact key", s, ok)
 	}
+}
+
+// TestMemoryTierCrossReplica is TestSharedTierCrossReplica's scenario
+// with the in-process tier: cache a solves and writes through, cache b
+// answers the same query from the tier, both bit-for-bit what a
+// tierless solve returns, and b's local re-hit still counts as served.
+func TestMemoryTierCrossReplica(t *testing.T) {
+	sys := func() []sym.Expr {
+		x := sym.NewVar("mtx", 16)
+		return []sym.Expr{
+			sym.NewBin(sym.OpEq, sym.NewBin(sym.OpMul, x, sym.NewConst(3, 16)), sym.NewConst(123, 16)),
+		}
+	}
+	want, err := Solve(sys(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier := NewMemoryTier(16)
+
+	a := NewCache(16)
+	a.SetShared(tier)
+	ra, err := a.Solve(sys(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sa := a.Stats(); sa.SharedMisses != 1 || sa.SharedStores != 1 || sa.SharedHits != 0 {
+		t.Fatalf("cache a tier stats: %+v", sa)
+	}
+
+	b := NewCache(16)
+	b.SetShared(tier)
+	rb, err := b.Solve(sys(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb := b.Stats(); sb.SharedHits != 1 || sb.SharedServed != 1 || sb.SharedStores != 0 {
+		t.Fatalf("cache b tier stats: %+v", sb)
+	}
+	for i, r := range []Result{ra, rb} {
+		if r.Status != want.Status || !reflect.DeepEqual(r.Model, want.Model) {
+			t.Errorf("cache %d: %v/%v, tierless %v/%v", i, r.Status, r.Model, want.Status, want.Model)
+		}
+	}
+
+	if _, err := b.Solve(sys(), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if sb := b.Stats(); sb.SharedServed != 2 || sb.Hits != 1 {
+		t.Fatalf("served/hits after repeat: %+v", sb)
+	}
+}
+
+// TestMemoryTierEvictsLeastRecent checks the tier's bound: with room for
+// two entries, a third store evicts the one looked up least recently.
+func TestMemoryTierEvictsLeastRecent(t *testing.T) {
+	tier := NewMemoryTier(2)
+	tier.Store("a", CachedResult{Status: StatusSat, Model: map[string]uint64{"x": 1}})
+	tier.Store("b", CachedResult{Status: StatusUnsat, Exact: "b"})
+	if _, ok := tier.Lookup("a"); !ok {
+		t.Fatal("a missing before the bound is reached")
+	}
+	tier.Store("c", CachedResult{Status: StatusUnknown, Conflicts: 5, Exact: "c"})
+	if _, ok := tier.Lookup("b"); ok {
+		t.Error("b, the least recently used entry, survived a third store")
+	}
+	if got, ok := tier.Lookup("a"); !ok || got.Model["x"] != 1 {
+		t.Errorf("a = %+v (found %v), want its model kept", got, ok)
+	}
+	if got, ok := tier.Lookup("c"); !ok || got.Conflicts != 5 || got.Exact != "c" {
+		t.Errorf("c = %+v (found %v)", got, ok)
+	}
+}
+
+// TestMemoryTierConcurrent has several caches, one per goroutine, share
+// one memory tier while they solve the same systems, as the cells of a
+// parallel grid do; every answer must equal a tierless solve. Run it
+// under -race.
+func TestMemoryTierConcurrent(t *testing.T) {
+	systems := [][]sym.Expr{eqSys("mc", 3), eqSys("mc", 200)}
+	x := sym.NewVar("mc", 8)
+	systems = append(systems, []sym.Expr{sym.NewBin(sym.OpUlt, x, sym.NewConst(3, 8)), sym.NewBin(sym.OpUlt, sym.NewConst(7, 8), x)})
+	want := make([]Result, len(systems))
+	for i, sys := range systems {
+		r, err := Solve(sys, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r
+	}
+	tier := NewMemoryTier(2) // smaller than the working set: stores evict
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := NewCache(16)
+			c.SetShared(tier)
+			for round := 0; round < 5; round++ {
+				for i, sys := range systems {
+					r, err := c.Solve(sys, Options{})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if r.Status != want[i].Status || !reflect.DeepEqual(r.Model, want[i].Model) {
+						t.Errorf("system %d: %v/%v, tierless %v/%v", i, r.Status, r.Model, want[i].Status, want[i].Model)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -39,8 +39,8 @@ type pnode struct {
 }
 
 // Compile flattens the constraints into a Program in one walk of their
-// DAG. A variable name that occurs at two widths takes, as its slot
-// width, the width VarWidths reports for it.
+// DAG. A variable name that occurs at several widths takes the widest as
+// its slot width, as VarWidths does.
 func Compile(constraints []Expr) *Program {
 	c := compiler{index: make(map[Expr]int32), slot: make(map[string]int32)}
 	p := &Program{roots: make([]int32, len(constraints))}
@@ -79,8 +79,7 @@ type compiler struct {
 }
 
 // node returns the index of e's node, appending it after its operands
-// on first sight. Operands are visited in VarWidths' order, so a name's
-// last-seen width matches.
+// on first sight.
 func (c *compiler) node(e Expr) int32 {
 	if i, ok := c.index[e]; ok {
 		return i
@@ -98,7 +97,9 @@ func (c *compiler) node(e Expr) int32 {
 			c.names = append(c.names, t.Name)
 			c.widths = append(c.widths, 0)
 		}
-		c.widths[s] = t.W
+		if t.W > c.widths[s] {
+			c.widths[s] = t.W
+		}
 		n.kind, n.w, n.a = kindVar, uint8(t.W), s
 	case *Bin:
 		n.a = c.node(t.A)

@@ -244,6 +244,9 @@ func Vars(exprs ...Expr) []string {
 }
 
 // VarWidths returns name -> width for all variables in the expressions.
+// A name that occurs at several widths maps to the widest, so the answer
+// does not depend on the order or the sharing of the walk: a raw build
+// and its interned build agree.
 func VarWidths(exprs ...Expr) map[string]int {
 	set := make(map[string]int)
 	seen := make(map[Expr]bool)
@@ -255,7 +258,9 @@ func VarWidths(exprs ...Expr) map[string]int {
 		seen[e] = true
 		switch t := e.(type) {
 		case *Var:
-			set[t.Name] = t.W
+			if t.W > set[t.Name] {
+				set[t.Name] = t.W
+			}
 		case *Bin:
 			walk(t.A)
 			walk(t.B)

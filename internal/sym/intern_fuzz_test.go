@@ -34,6 +34,11 @@ func FuzzInternEval(f *testing.F) {
 	// the env variable alone: both flags must reach every root.
 	f.Add([]byte{1, 2, 3, 0, 2, 24, 0, 1, 2, 0, 0, 2, 2, 0, 1, 1,
 		5, 2, 0, 0, 5, 3, 0, 0, 5, 4, 0, 0, 5, 0, 0, 0})
+	// argv1!1 at 16 bits, at 32 bits, and at 16 bits again as a second
+	// raw copy: the raw walk meets the 16-bit copy last, the interned
+	// walk has already seen it. Caught SMTLib declaring the width of the
+	// last variable node visited.
+	f.Add([]byte{1, 1, 2, 0, 1, 1, 3, 0, 1, 1, 2, 0, 2, 0, 1, 2, 5, 4, 0, 0, 5, 3, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		raw := buildSystem(data, 0)
