@@ -13,8 +13,9 @@ GOFMT ?= gofmt
 # (vs brute-force enumeration), a Reset SAT solver (vs a new one), the
 # append-only journal (crashed log plus single- and two-handle appends
 # against a line-split reference model), the job-journal replay (against
-# an in-memory reference model) and the symbolic-store weak-update image
-# (against a concrete-memory reference model), then the full suite.
+# an in-memory reference model), the symbolic-store weak-update image
+# (against a concrete-memory reference model) and 64-bit division by a
+# constant (against sym.Eval), then the full suite.
 ci: vet build race fuzz test
 
 # vet fails on any Go file gofmt would rewrite, bench/ and dot
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJournal -fuzztime=5s ./internal/journal/
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime=5s ./internal/jobstore/
 	$(GO) test -run '^$$' -fuzz FuzzSymbolicWriteEquivalence -fuzztime=5s ./internal/symexec/
+	$(GO) test -run '^$$' -fuzz FuzzDivConst -fuzztime=5s ./internal/bitblast/
 
 test:
 	$(GO) test ./...
@@ -67,6 +69,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFPLocalSearch|BenchmarkFPSearchUnknown|BenchmarkCacheMissSequence' -benchmem ./internal/solver/
 	$(GO) test -run '^$$' -bench 'BenchmarkCanonicalKeyInterned|BenchmarkCanonicalKeyStable|BenchmarkInternConstruct' ./internal/sym/
 	$(GO) test -run '^$$' -bench 'BenchmarkBitblastSharedDAG' -benchtime 3x ./internal/bitblast/
+	$(GO) test -run '^$$' -bench 'BenchmarkDividerEncode|BenchmarkRemConst64Solve' -benchmem ./internal/bitblast/
 
 tables:
 	$(GO) run ./cmd/evaltable -all

@@ -26,7 +26,8 @@ func BenchmarkMul64Solve(b *testing.B) {
 	}
 }
 
-// BenchmarkDividerEncode measures the restoring-divider circuit build.
+// BenchmarkDividerEncode measures the restoring-divider circuit build
+// (a symbolic divisor).
 func BenchmarkDividerEncode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := sat.New()
@@ -40,6 +41,25 @@ func BenchmarkDividerEncode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRemConst64Solve measures encoding and solving x % 97 == 13
+// over 64-bit vectors, the getpid bomb's one query: a remainder by a
+// constant, encoded as multiply-and-check. Gate count is reported.
+func BenchmarkRemConst64Solve(b *testing.B) {
+	var gates int
+	for i := 0; i < b.N; i++ {
+		s := sat.New()
+		e := New(s)
+		if err := e.Assert(remConst64(97, 13)); err != nil {
+			b.Fatal(err)
+		}
+		if st := s.Solve(0); st != sat.Sat {
+			b.Fatalf("status %v", st)
+		}
+		gates = e.Gates()
+	}
+	b.ReportMetric(float64(gates), "gates")
 }
 
 // BenchmarkBitblastSharedDAG encodes a squaring chain — 12 levels of

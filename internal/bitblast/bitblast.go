@@ -1,6 +1,11 @@
 // Package bitblast lowers sym bitvector expressions to CNF over a sat
 // solver via Tseitin encoding: ripple-carry adders, shift-and-add
-// multipliers, restoring dividers, barrel shifters and per-bit muxes.
+// multipliers, barrel shifters and per-bit muxes. Division has two
+// circuits. By a symbolic divisor it is a restoring divider, a
+// subtractor and a mux row per bit. By a constant k it is
+// multiply-and-check: fresh quotient and remainder vectors q and r
+// with q*k + r == a and r < k, one adder per set bit of k; zero and
+// powers of two are plain wiring.
 // Floating-point operators are rejected — they are routed to the
 // stochastic FP solver (or reported as Es3) by the solver front end, the
 // same split the paper observes between bitvector and FP theories.
@@ -9,6 +14,7 @@ package bitblast
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sat"
 	"repro/internal/sym"
@@ -259,14 +265,8 @@ func (e *Encoder) encodeUncached(x sym.Expr) ([]sat.Lit, error) {
 			return []sat.Lit{e.slt(a, b)}, nil
 		case sym.OpSle:
 			return []sat.Lit{e.slt(b, a).Not()}, nil
-		case sym.OpUDiv:
-			q, _ := e.divider(a, b)
-			return q, nil
-		case sym.OpURem:
-			_, r := e.divider(a, b)
-			return r, nil
-		case sym.OpSDiv, sym.OpSRem:
-			return e.signedDiv(t.Op, a, b), nil
+		case sym.OpUDiv, sym.OpURem, sym.OpSDiv, sym.OpSRem:
+			return e.division(t.Op, a, b, t.B), nil
 		case sym.OpConcat:
 			out := make([]sat.Lit, 0, len(a)+len(b))
 			out = append(out, b...)
@@ -443,6 +443,115 @@ func (e *Encoder) multiplier(a, b []sat.Lit) []sat.Lit {
 	return acc
 }
 
+// division encodes one of the four division operators of a by b, whose
+// expression is divisor: divConst when it is a *sym.Const, the
+// restoring divider otherwise. The signed operators divide |a| by |b|
+// and fix the signs up afterwards; by a constant zero they follow
+// sym.Eval: sdiv gives all ones and srem gives a.
+func (e *Encoder) division(op sym.BinOp, a, b []sat.Lit, divisor sym.Expr) []sat.Lit {
+	k, isConst := divisor.(*sym.Const)
+	if op == sym.OpUDiv || op == sym.OpURem {
+		var q, r []sat.Lit
+		if isConst {
+			q, r = e.divConst(a, k.V)
+		} else {
+			q, r = e.divider(a, b)
+		}
+		if op == sym.OpUDiv {
+			return q
+		}
+		return r
+	}
+	w := len(a)
+	sa, sb := a[w-1], b[w-1]
+	absA := e.muxVec(sa, e.negate(a), a)
+	var q, r []sat.Lit
+	switch {
+	case !isConst:
+		q, r = e.divider(absA, e.muxVec(sb, e.negate(b), b))
+	case k.V == 0:
+		if op == sym.OpSDiv {
+			return e.constVec(^uint64(0), w)
+		}
+		return a
+	default:
+		absK := k.V
+		if sb == e.tru {
+			absK = -k.V & (^uint64(0) >> uint(64-w))
+		}
+		q, r = e.divConst(absA, absK)
+	}
+	if op == sym.OpSDiv {
+		return e.muxVec(e.xor(sa, sb), e.negate(q), q)
+	}
+	return e.muxVec(sa, e.negate(r), r)
+}
+
+// divConst computes unsigned (quotient, remainder) of a by the constant
+// k. Zero and powers of two are wiring: a/0 is all ones and a%0 is a
+// (SMT-LIB), a/2^m is a[m:] and a%2^m is a[:m]. Any other k gets fresh
+// vectors q and r tied to a by q*k + r == a, summed at twice the width
+// so it cannot wrap, and by r < k: one adder per set bit of k, where the
+// restoring divider spends a subtractor and a mux row per bit of a. The
+// ties are asserted outright; each a has exactly one (q, r) meeting
+// them, so they never rule an a out.
+func (e *Encoder) divConst(a []sat.Lit, k uint64) ([]sat.Lit, []sat.Lit) {
+	w := len(a)
+	if k == 0 {
+		return e.constVec(^uint64(0), w), a
+	}
+	if k&(k-1) == 0 {
+		m := bits.TrailingZeros64(k)
+		return e.shiftVec(a, -m, w), e.shiftVec(a[:m], 0, w)
+	}
+	q := make([]sat.Lit, w)
+	r := make([]sat.Lit, w)
+	for i := range q {
+		q[i] = e.fresh()
+		r[i] = e.fresh()
+	}
+	sum := e.shiftVec(r, 0, 2*w)
+	for j := 0; j < w; j++ {
+		if k>>uint(j)&1 == 1 {
+			sum = e.adder(sum, e.shiftVec(q, j, 2*w))
+		}
+	}
+	for i, s := range sum {
+		x := e.fls()
+		if i < w {
+			x = a[i]
+		}
+		e.s.AddClause(s.Not(), x)
+		e.s.AddClause(s, x.Not())
+	}
+	// r < k: the carry out of r + ^k + 1 is r >= k, and with k constant
+	// each step of its chain is one gate.
+	ge := e.tru
+	for i := 0; i < w; i++ {
+		if k>>uint(i)&1 == 1 {
+			ge = e.and(r[i], ge)
+		} else {
+			ge = e.or(r[i], ge)
+		}
+	}
+	e.s.AddClause(ge.Not())
+	return q, r
+}
+
+// shiftVec returns v shifted left by s bits (right for negative s) in a
+// vector of width w, filled with false.
+func (e *Encoder) shiftVec(v []sat.Lit, s, w int) []sat.Lit {
+	out := make([]sat.Lit, w)
+	for i := range out {
+		if j := i - s; j >= 0 && j < len(v) {
+			out[i] = v[j]
+		} else {
+			out[i] = e.fls()
+		}
+	}
+	return out
+}
+
 // divider computes unsigned (quotient, remainder) by restoring division.
 // Division by zero yields q=all-ones, r=a (SMT-LIB semantics).
 func (e *Encoder) divider(a, b []sat.Lit) ([]sat.Lit, []sat.Lit) {
@@ -478,19 +587,6 @@ func (e *Encoder) negate(a []sat.Lit) []sat.Lit {
 		inv[i] = a[i].Not()
 	}
 	return e.adder(inv, e.constVec(1, len(a)))
-}
-
-func (e *Encoder) signedDiv(op sym.BinOp, a, b []sat.Lit) []sat.Lit {
-	w := len(a)
-	sa, sb := a[w-1], b[w-1]
-	absA := e.muxVec(sa, e.negate(a), a)
-	absB := e.muxVec(sb, e.negate(b), b)
-	q, r := e.divider(absA, absB)
-	if op == sym.OpSDiv {
-		neg := e.xor(sa, sb)
-		return e.muxVec(neg, e.negate(q), q)
-	}
-	return e.muxVec(sa, e.negate(r), r)
 }
 
 func (e *Encoder) muxVec(s sat.Lit, a, b []sat.Lit) []sat.Lit {

@@ -21,7 +21,7 @@ func TestKeyedEntrySupersedesLegacy(t *testing.T) {
 		sym.NewBin(sym.OpUlt, sym.NewConst(7, 8), x),
 	}
 	opts := solver.Options{MaxConflicts: 100000}
-	key := "d:" + sym.DigestKey(sys) + ":100000"
+	key := solver.SharedKey(sys, 100000)
 
 	solve := func(tier *sharedcache.Tier) solver.CacheStats {
 		t.Helper()

@@ -10,6 +10,24 @@ import (
 	"repro/internal/sym"
 )
 
+// EncodingRevision names the bit-vector encoding whose results a shared
+// tier holds, and starts every SharedKey. A tier entry is a pure
+// function of the query only while the bit-blaster and the SAT search
+// stay the same: a change to either can move the model a query returns
+// or the conflict count behind a conflict-budget Unknown. Such a change
+// renames the revision, so entries written before it (queries.jsonl
+// outlives the binary) are never looked up again. "divconst" is the
+// encoding that divides by a constant as multiply-and-check; the
+// restoring divider's entries were keyed "d".
+const EncodingRevision = "divconst"
+
+// SharedKey is the shared-tier key of a query: EncodingRevision, the
+// system's cross-process-stable digest (sym.DigestKey) and the conflict
+// budget, colon-separated.
+func SharedKey(constraints []sym.Expr, maxConflicts int64) string {
+	return EncodingRevision + ":" + sym.DigestKey(constraints) + ":" + strconv.FormatInt(maxConflicts, 10)
+}
+
 // Cache is a bounded LRU front for Solve. Negation queries inside one
 // concolic run share long constraint prefixes, and parallel workers in a
 // batch can issue the very same query before the scheduler's dedup maps
@@ -30,11 +48,11 @@ import (
 // A Cache may be backed by a shared tier (SetShared): a QueryCache that
 // outlives the cache, such as the persistent cross-replica file tier or
 // the in-process NewMemoryTier, consulted on LRU misses and written
-// through on solves, keyed by cross-process-stable digests ("d:" +
-// sym.DigestKey + ":" + conflict budget). Because tier entries hold the
-// same seed-independent raw results the LRU holds, a tier hit is
-// bit-for-bit what a local solve would have produced — replicas share
-// work without perturbing verdicts. Entries that arrived from the tier
+// through on solves, keyed by SharedKey (the encoding revision, a
+// cross-process-stable digest and the conflict budget). Because tier
+// entries hold the same seed-independent raw results the LRU holds, a
+// tier hit is bit-for-bit what a local solve would have produced —
+// replicas share work without perturbing verdicts. Entries that arrived from the tier
 // are tagged, and the SharedServed counter charges both the direct tier
 // hit and every later LRU re-hit on such an entry: it answers "how many
 // queries were decided by someone else's solve". The digest is lossy, so
@@ -165,7 +183,7 @@ func (c *Cache) SolveContext(ctx context.Context, constraints []sym.Expr, opts O
 	c.mu.Unlock()
 	var sharedKey string
 	if shared != nil {
-		sharedKey = "d:" + sym.DigestKey(constraints) + ":" + strconv.FormatInt(opts.MaxConflicts, 10)
+		sharedKey = SharedKey(constraints, opts.MaxConflicts)
 		if e, ok := shared.Lookup(sharedKey); ok {
 			if res, ok := validateShared(e, constraints); ok {
 				c.mu.Lock()

@@ -24,11 +24,11 @@ type CachedResult struct {
 // QueryCache is a tier behind a Cache's own LRU (see Cache.SetShared),
 // such as the cross-replica sharedcache tier or an in-process
 // NewMemoryTier shared by the engines of one process.
-// Keys are the caller's business; Cache keys tiers with
-// cross-process-stable digests ("d:" + sym.DigestKey + ":" + conflict
-// budget), so a tier implementation must treat them as opaque JSON-safe
-// strings. Implementations must be safe for concurrent use and must
-// return Model maps the caller may keep.
+// Keys are the caller's business; Cache keys tiers with SharedKey
+// (encoding revision, cross-process-stable digest and conflict budget),
+// so a tier implementation must treat them as opaque JSON-safe strings.
+// Implementations must be safe for concurrent use and must return Model
+// maps the caller may keep.
 type QueryCache interface {
 	Lookup(key string) (CachedResult, bool)
 	Store(key string, res CachedResult)

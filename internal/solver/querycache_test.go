@@ -83,7 +83,7 @@ func TestSharedTierRejectsInvalidModel(t *testing.T) {
 	tier := openTier(t, dir)
 
 	sys := eqSys("poison", 9)
-	key := "d:" + sym.DigestKey(sys) + ":" + "100000"
+	key := SharedKey(sys, 100000)
 	tier.Store(sharedcache.Entry{Key: key, Status: int(StatusSat), Model: map[string]uint64{"poison": 1}})
 
 	c := NewCache(16)
@@ -107,7 +107,7 @@ func TestSharedTierRejectsInvalidModel(t *testing.T) {
 // served.
 func TestSharedTierUnsatNeedsExactKey(t *testing.T) {
 	sys := eqSys("collide", 5)
-	key := "d:" + sym.DigestKey(sys) + ":" + "100000"
+	key := SharedKey(sys, 100000)
 	for _, tc := range []struct {
 		name, exact string
 		want        Status
@@ -134,6 +134,41 @@ func TestSharedTierUnsatNeedsExactKey(t *testing.T) {
 	}
 }
 
+// TestSharedTierIgnoresOldRevision stores entries under the key an
+// older encoding wrote ("d:" + digest + budget), each one the tier would
+// serve under the current key: a valid sat model, and a conflict-budget
+// Unknown carrying the exact key. Neither may be served; the query is
+// solved locally and stored under the current revision's key.
+func TestSharedTierIgnoresOldRevision(t *testing.T) {
+	sys := eqSys("oldrev", 5)
+	oldKey := "d:" + sym.DigestKey(sys) + ":100000"
+	if SharedKey(sys, 100000) == oldKey {
+		t.Fatal("SharedKey still uses the old prefix")
+	}
+	for _, e := range []sharedcache.Entry{
+		{Key: oldKey, Status: int(StatusSat), Model: map[string]uint64{"oldrev": 5}},
+		{Key: oldKey, Status: int(StatusUnknown), Conflicts: 100000, Exact: exactKey(sys)},
+	} {
+		tier := openTier(t, t.TempDir())
+		tier.Store(e)
+		c := NewCache(16)
+		c.SetShared(SharedTier(tier))
+		r, err := c.Solve(sys, Options{MaxConflicts: 100000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Status != StatusSat || r.Model["oldrev"] != 5 {
+			t.Errorf("old %v entry: got %v/%v, want a local sat solve", Status(e.Status), r.Status, r.Model)
+		}
+		if st := c.Stats(); st.SharedHits != 0 || st.SharedServed != 0 || st.SharedMisses != 1 {
+			t.Errorf("old %v entry was served: %+v", Status(e.Status), st)
+		}
+		if got, ok := tier.Lookup(SharedKey(sys, 100000)); !ok || got.Status != int(StatusSat) {
+			t.Errorf("current-revision entry %+v (found %v), want the local sat result", got, ok)
+		}
+	}
+}
+
 // TestSharedTierStoresExactKeyOnNonSatOnly checks what a local solve
 // writes through: an unsat verdict carries the exact key, a sat one
 // (checkable by its model) does not.
@@ -149,11 +184,11 @@ func TestSharedTierStoresExactKeyOnNonSatOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	u, ok := tier.Lookup("d:" + sym.DigestKey(unsat) + ":100000")
+	u, ok := tier.Lookup(SharedKey(unsat, 100000))
 	if !ok || u.Status != int(StatusUnsat) || u.Exact != exactKey(unsat) {
 		t.Errorf("unsat entry %+v (found %v), want exact key %q", u, ok, exactKey(unsat))
 	}
-	s, ok := tier.Lookup("d:" + sym.DigestKey(sat) + ":100000")
+	s, ok := tier.Lookup(SharedKey(sat, 100000))
 	if !ok || s.Status != int(StatusSat) || s.Exact != "" {
 		t.Errorf("sat entry %+v (found %v), want no exact key", s, ok)
 	}

@@ -288,6 +288,10 @@ func HasFloat(exprs ...Expr) bool { return anyFlag(flFloat, exprs) }
 // appears in the expressions.
 func HasEnvVar(exprs ...Expr) bool { return anyFlag(flEnv, exprs) }
 
+// HasITE reports whether an if-then-else node appears in the
+// expressions.
+func HasITE(exprs ...Expr) bool { return anyFlag(flITE, exprs) }
+
 // anyFlag reports whether flag f is set on any of the expressions. For
 // constructor-built nodes it is a field read; raw trees are walked with
 // a memo, as Digest and TreeNodes do.
@@ -329,7 +333,7 @@ func flagWalk(e Expr, f uint8, memo map[Expr]bool) bool {
 	case *Un:
 		v = unFlags(t.Op)&f != 0 || flagWalk(t.A, f, memo)
 	case *ITE:
-		v = flagWalk(t.Cond, f, memo) || flagWalk(t.Then, f, memo) || flagWalk(t.Else, f, memo)
+		v = f&flITE != 0 || flagWalk(t.Cond, f, memo) || flagWalk(t.Then, f, memo) || flagWalk(t.Else, f, memo)
 	}
 	memo[e] = v
 	return v

@@ -7,8 +7,8 @@ package sym
 // returns the same *Const/*Var/*Bin/*Un/*ITE pointer. Each interned node
 // carries a precomputed 64-bit structural digest, a saturating tree-node
 // count, flags summarizing the subtree (float operators, environment
-// variables) and a unique intern id, all assigned exactly once at
-// construction.
+// variables, if-then-else nodes) and a unique intern id, all assigned
+// exactly once at construction.
 //
 // The invariant the rest of the pipeline builds on:
 //
@@ -57,12 +57,13 @@ type hc struct {
 	fl  uint8
 }
 
-// Node flags summarize what a subtree contains, so HasFloat and
-// HasEnvVar are a field read on constructor-built nodes.
+// Node flags summarize what a subtree contains, so HasFloat, HasEnvVar
+// and HasITE are a field read on constructor-built nodes.
 const (
 	flKnown uint8 = 1 << iota // the other bits are valid
 	flFloat                   // a float operator: float BinOp, OpI2F or OpF2I
 	flEnv                     // a variable named EnvVarPrefix + ...
+	flITE                     // an if-then-else node
 )
 
 // EnvVarPrefix starts the names of undeclared environment-derived
@@ -580,7 +581,7 @@ func internITE(cond, then, els Expr) *ITE {
 			n.hc = hc{
 				dig: digestITE(mc.dig, mt.dig, me.dig),
 				tn:  satAdd(1, satAdd(mc.tn, satAdd(mt.tn, me.tn))),
-				fl:  joinFlags(flKnown, mc.fl, mt.fl, me.fl),
+				fl:  joinFlags(flKnown|flITE, mc.fl, mt.fl, me.fl),
 			}
 		}
 		return n
@@ -603,7 +604,7 @@ func internITE(cond, then, els Expr) *ITE {
 	}
 	n = &ITE{Cond: cond, Then: then, Else: els}
 	tn := satAdd(1, satAdd(mc.tn, satAdd(mt.tn, me.tn)))
-	fl := joinFlags(flKnown, mc.fl, mt.fl, me.fl)
+	fl := joinFlags(flKnown|flITE, mc.fl, mt.fl, me.fl)
 	if !arena.room() {
 		arena.fallbacks.Add(1)
 		n.hc = hc{dig: dig, tn: tn, fl: fl}

@@ -9,10 +9,11 @@ import (
 // expression systems, the canonical (hash-consed) build must be
 // observationally identical to the unshared struct-literal build — same
 // Eval under concrete environments, same CanonicalKey/StableKey, same
-// SMT-LIB printout, and the same HasFloat/HasEnvVar answers from the
-// interned nodes' flags as from a walk of the raw tree. This is the
-// property that lets every layer intern freely without risking verdict
-// or golden-output drift.
+// SMT-LIB printout, and the same HasFloat/HasEnvVar/HasITE answers from
+// the interned nodes' flags as from a walk of the raw tree (HasITE is
+// also checked against a plain DAG walk). This is the property that lets
+// every layer intern freely without risking verdict or golden-output
+// drift.
 //
 // Eval and SMTLib walk trees (exponential on shared DAGs), so those
 // comparisons are gated on a tree-size bound; key and digest
@@ -61,8 +62,11 @@ func FuzzInternEval(f *testing.F) {
 			if HasEnvVar(raw[i]) != HasEnvVar(shared[i]) {
 				t.Errorf("constraint %d: HasEnvVar %v (raw) vs %v (interned)", i, HasEnvVar(raw[i]), HasEnvVar(shared[i]))
 			}
+			if ite := iteWalk(raw[i], map[Expr]bool{}); HasITE(raw[i]) != ite || HasITE(shared[i]) != ite {
+				t.Errorf("constraint %d: HasITE %v (raw) vs %v (interned), walk finds %v", i, HasITE(raw[i]), HasITE(shared[i]), ite)
+			}
 		}
-		if HasFloat(raw...) != HasFloat(shared...) || HasEnvVar(raw...) != HasEnvVar(shared...) {
+		if HasFloat(raw...) != HasFloat(shared...) || HasEnvVar(raw...) != HasEnvVar(shared...) || HasITE(raw...) != HasITE(shared...) {
 			t.Error("system flags differ between raw and interned builds")
 		}
 		envVar := false
@@ -104,4 +108,22 @@ func FuzzInternEval(f *testing.F) {
 			t.Error("SMT-LIB printout differs between raw and interned builds")
 		}
 	})
+}
+
+// iteWalk reports whether an ITE node occurs in e, by a memoized walk
+// that ignores node flags.
+func iteWalk(e Expr, seen map[Expr]bool) bool {
+	if seen[e] {
+		return false
+	}
+	seen[e] = true
+	switch t := e.(type) {
+	case *ITE:
+		return true
+	case *Bin:
+		return iteWalk(t.A, seen) || iteWalk(t.B, seen)
+	case *Un:
+		return iteWalk(t.A, seen)
+	}
+	return false
 }

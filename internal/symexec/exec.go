@@ -482,7 +482,7 @@ func (x *exec) doLoad(m ir.Mem, e *trace.Entry) sym.Expr {
 	case MemOneLevel:
 		// A window load yields an ITE tree; an address derived from one
 		// is second-level symbolic addressing.
-		if x.hasITE(addrExpr) {
+		if sym.HasITE(addrExpr) {
 			x.incident(StageEs3, e, "two-level symbolic memory addressing")
 			return x.loadConcrete(e, e.Addr, m.Size)
 		}
@@ -658,7 +658,7 @@ func (x *exec) doIndirectJump(t ir.IndirectJump, e *trace.Entry) {
 		x.incident(StageEs3, e, "symbolic jump target not modeled")
 		return
 	case JumpConcretize:
-		if x.hasITE(target) {
+		if sym.HasITE(target) {
 			x.incident(StageEs3, e, "symbolic jump through address table not modeled")
 			return
 		}
@@ -670,29 +670,6 @@ func (x *exec) doIndirectJump(t ir.IndirectJump, e *trace.Entry) {
 	case JumpEnum:
 		x.addConstraint(sym.NewBin(sym.OpEq, target, sym.NewConst(e.NextPC, 64)), e, KindJump)
 	}
-}
-
-// hasITE walks the expression DAG with memoization (sharing makes naive
-// tree recursion exponential on crypto traces).
-func (x *exec) hasITE(e sym.Expr) bool {
-	seen := make(map[sym.Expr]bool)
-	var walk func(sym.Expr) bool
-	walk = func(n sym.Expr) bool {
-		if seen[n] {
-			return false
-		}
-		seen[n] = true
-		switch t := n.(type) {
-		case *sym.ITE:
-			return true
-		case *sym.Bin:
-			return walk(t.A) || walk(t.B)
-		case *sym.Un:
-			return walk(t.A)
-		}
-		return false
-	}
-	return walk(e)
 }
 
 func (x *exec) addConstraint(c sym.Expr, e *trace.Entry, kind ConstraintKind) {
