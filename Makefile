@@ -8,8 +8,8 @@ GOFMT ?= gofmt
 # boot memory, in internal/mem and through parallel engine rounds),
 # short fuzz smokes on the solver cache key, the interning equivalence
 # property, the compiled evaluator (vs Eval), the COW memory (clone/write and page-straddling multi-byte
-# access vs a deep-copy reference model), the VM's dense decode table (vs a decode-walk
-# reference map), the SAT core with unit clauses added between solves
+# access vs a deep-copy reference model), the VM's decode table and block leaders (vs a
+# decode-walk reference map), the SAT core with unit clauses added between solves
 # (vs brute-force enumeration), a Reset SAT solver (vs a new one), the
 # append-only journal (crashed log plus single- and two-handle appends
 # against a line-split reference model), the job-journal replay (against
@@ -64,6 +64,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkExecLoop' ./internal/vm/
 	$(GO) test -run '^$$' -bench 'BenchmarkGuestSHA1' -benchmem ./internal/gos/
 	$(GO) test -run '^$$' -bench 'BenchmarkInputKey' ./internal/core/...
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineNew' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheSolveHit|BenchmarkSolveUncached|BenchmarkCanonicalKey' ./internal/solver/...
 	$(GO) test -run '^$$' -bench 'BenchmarkRoundFresh' -benchtime 3x ./internal/solver/
 	$(GO) test -run '^$$' -bench 'BenchmarkFPLocalSearch|BenchmarkFPSearchUnknown|BenchmarkCacheMissSequence' -benchmem ./internal/solver/

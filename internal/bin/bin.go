@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Canonical memory layout for LBF images.
@@ -49,11 +50,25 @@ type Symbol struct {
 	Addr uint64
 }
 
-// Image is a loadable LB64 binary.
+// Image is a loadable LB64 binary. An image must not be modified once
+// it has been loaded (see Loaded).
 type Image struct {
 	Entry    uint64
 	Sections []Section
 	Symbols  []Symbol
+
+	loadOnce sync.Once
+	loaded   any
+}
+
+// Loaded returns what load derives from the image, calling load only on
+// the first call: package vm keeps the decoded program here, so every
+// machine and analysis of one image shares it and it lives exactly as
+// long as the image. Concurrent callers all receive the first call's
+// value.
+func (im *Image) Loaded(load func(*Image) any) any {
+	im.loadOnce.Do(func() { im.loaded = load(im) })
+	return im.loaded
 }
 
 // Symbol returns the address of the named symbol.

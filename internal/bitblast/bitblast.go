@@ -446,8 +446,8 @@ func (e *Encoder) multiplier(a, b []sat.Lit) []sat.Lit {
 // division encodes one of the four division operators of a by b, whose
 // expression is divisor: divConst when it is a *sym.Const, the
 // restoring divider otherwise. The signed operators divide |a| by |b|
-// and fix the signs up afterwards; by a constant zero they follow
-// sym.Eval: sdiv gives all ones and srem gives a.
+// and fix the signs up afterwards; by zero, constant or symbolic, they
+// follow sym.Eval: sdiv gives all ones and srem gives a.
 func (e *Encoder) division(op sym.BinOp, a, b []sat.Lit, divisor sym.Expr) []sat.Lit {
 	k, isConst := divisor.(*sym.Const)
 	if op == sym.OpUDiv || op == sym.OpURem {
@@ -469,6 +469,12 @@ func (e *Encoder) division(op sym.BinOp, a, b []sat.Lit, divisor sym.Expr) []sat
 	switch {
 	case !isConst:
 		q, r = e.divider(absA, e.muxVec(sb, e.negate(b), b))
+		if op == sym.OpSDiv {
+			// By zero q is all ones for every a: the sign fix-up
+			// applies only to a nonzero divisor.
+			nz := e.equal(b, e.constVec(0, w)).Not()
+			return e.muxVec(e.and(e.xor(sa, sb), nz), e.negate(q), q)
+		}
 	case k.V == 0:
 		if op == sym.OpSDiv {
 			return e.constVec(^uint64(0), w)

@@ -51,6 +51,49 @@ func TestDivConstExhaustive8(t *testing.T) {
 	}
 }
 
+// TestDivSymbolicExhaustive8 is TestDivConstExhaustive8 through the
+// restoring divider: the divisor is a variable z pinned to each 8-bit
+// value (0 included) by a separate z == k constraint, so the circuit
+// cannot see it is constant. For every x there must be exactly one
+// solution, and its y must be sym.Eval's value.
+func TestDivSymbolicExhaustive8(t *testing.T) {
+	for _, op := range divOps {
+		t.Run(op.String(), func(t *testing.T) {
+			t.Parallel()
+			for k := 0; k < 256; k++ {
+				s := sat.New()
+				e := New(s)
+				x, y, z := sym.NewVar("x", 8), sym.NewVar("y", 8), sym.NewVar("z", 8)
+				div := sym.NewBin(op, x, z)
+				for _, c := range []sym.Expr{sym.NewBin(sym.OpEq, z, sym.NewConst(uint64(k), 8)), sym.NewBin(sym.OpEq, div, y)} {
+					if err := e.Assert(c); err != nil {
+						t.Fatal(err)
+					}
+				}
+				vars := append(append([]int(nil), e.VarBits("x", 8)...), e.VarBits("y", 8)...)
+				var seen [256]bool
+				n := 0
+				for ; s.Solve(0) == sat.Sat; n++ {
+					m := e.Model()
+					if want := sym.Eval(div, m); m["y"] != want || seen[m["x"]] {
+						t.Fatalf("by %d: solution x=%d y=%d (Eval %d, x seen before %v)",
+							k, m["x"], m["y"], want, seen[m["x"]])
+					}
+					seen[m["x"]] = true
+					block := make([]sat.Lit, len(vars))
+					for i, v := range vars {
+						block[i] = sat.MkLit(v, s.Value(v))
+					}
+					s.AddClause(block...)
+				}
+				if n != 256 {
+					t.Fatalf("by %d: %d solutions, want one per dividend", k, n)
+				}
+			}
+		})
+	}
+}
+
 // TestRemConstGates bounds the circuit of getpid's query shape, x % 97
 // at 64 bits. The restoring divider spent 25k gates on it.
 func TestRemConstGates(t *testing.T) {

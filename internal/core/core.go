@@ -323,9 +323,9 @@ type Engine struct {
 	// cumulative tracker — the deterministic scoring and goal view;
 	// every merged run also feeds cover.Global() for process metrics.
 	cov        *cover.Tracker
-	prog       *vm.Program     // loaded image; nil when undecodable
-	leaders    map[uint64]bool // static basic-block leaders
-	goalBlocks int             // resolved CoverGoal in blocks (0: no goal)
+	prog       *vm.Program // the image's program; nil when undecodable
+	loadErr    error       // why the image does not decode
+	goalBlocks int         // resolved CoverGoal in blocks (0: no goal)
 
 	// SearchCoverage generational frontier: pushes buffer into queue;
 	// view is the current generation, scored and sorted at promotion.
@@ -355,19 +355,15 @@ func New(img *bin.Image, target uint64, caps Capabilities) *Engine {
 		caps.TotalBudget = DefaultTotalBudget
 	}
 	workers := caps.ResolvedWorkers()
-	// The loaded program is what every round's machine starts from, and
-	// it gives the coverage layer its static structure: block leaders for
-	// the block metric and flip-target successors for candidate scoring.
-	// Images that fail to decode fall back to edge-only coverage
-	// (leaders == nil counts every executed PC).
-	prog, _ := vm.LoadProgram(img)
-	var leaders map[uint64]bool
-	if prog != nil {
-		leaders = blockLeaders(prog)
-	}
+	// The image's program (decoded once per image and shared by every
+	// engine) is what every round's machine starts from, and it gives
+	// the coverage layer its static structure: block leaders for the
+	// block metric and flip-target successors for candidate scoring. An
+	// image that fails to decode runs no round.
+	prog, loadErr := vm.Load(img)
 	goalBlocks := 0
-	if caps.CoverGoal > 0 && len(leaders) > 0 {
-		goalBlocks = int(math.Ceil(caps.CoverGoal * float64(len(leaders))))
+	if caps.CoverGoal > 0 && prog != nil && prog.NumLeaders() > 0 {
+		goalBlocks = int(math.Ceil(caps.CoverGoal * float64(prog.NumLeaders())))
 	}
 	return &Engine{
 		img:        img,
@@ -382,7 +378,7 @@ func New(img *bin.Image, target uint64, caps Capabilities) *Engine {
 		cache:      newEngineCache(caps),
 		cov:        cover.NewTracker(),
 		prog:       prog,
-		leaders:    leaders,
+		loadErr:    loadErr,
 		goalBlocks: goalBlocks,
 		fuzzSeen:   make(map[string]bool),
 	}

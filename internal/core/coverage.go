@@ -7,12 +7,10 @@ import (
 
 	"repro/internal/cover"
 	"repro/internal/gos"
-	"repro/internal/isa"
 	"repro/internal/mutate"
 	"repro/internal/symexec"
 	"repro/internal/target"
 	"repro/internal/trace"
-	"repro/internal/vm"
 )
 
 // Coverage-guided search (SearchCoverage) and the hybrid mutation
@@ -204,7 +202,7 @@ func (en *Engine) coverGoalReached() bool {
 
 func (en *Engine) coverGoalDetail() string {
 	return fmt.Sprintf("coverage goal reached: %d edges, %d/%d blocks covered",
-		en.cov.Edges(), en.cov.Blocks(), len(en.leaders))
+		en.cov.Edges(), en.cov.Blocks(), en.prog.NumLeaders())
 }
 
 // flipEdgeFor returns the control-flow edge that negating pc's branch
@@ -231,35 +229,4 @@ func (en *Engine) flipEdgeFor(pc symexec.PathConstraint, tr *trace.Trace) cover.
 		return cover.Edge{From: pc.PC, To: pc.PC + uint64(size)}
 	}
 	return cover.Edge{From: pc.PC, To: uint64(in.Imm)}
-}
-
-// blockLeaders computes the static basic-block leaders of a decoded
-// program: the first instruction, every direct transfer target, and
-// every instruction following a control transfer. This is the block
-// granularity of the coverage metric and of -cover-goal fractions.
-func blockLeaders(prog *vm.Program) map[uint64]bool {
-	leaders := make(map[uint64]bool)
-	first := ^uint64(0)
-	prog.Instrs(func(addr uint64, in isa.Instr, size int) {
-		if addr < first {
-			first = addr
-		}
-		op := in.Op
-		if op.IsJump() || op == isa.OpCall || op == isa.OpRet || op == isa.OpHalt {
-			leaders[addr+uint64(size)] = true
-			if in.Mode == isa.ModeI && op != isa.OpRet && op != isa.OpHalt {
-				leaders[uint64(in.Imm)] = true
-			}
-		}
-	})
-	if first != ^uint64(0) {
-		leaders[first] = true
-	}
-	// Drop leaders past the text end (the successor of a final halt).
-	for a := range leaders {
-		if _, _, ok := prog.At(a); !ok {
-			delete(leaders, a)
-		}
-	}
-	return leaders
 }

@@ -64,7 +64,7 @@ func TestCoverageOnlyMatchesTrace(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: coverage-only run: %v", name, err)
 			}
-			want := cover.FromTrace(full.Trace, en.leaders)
+			want := cover.FromTrace(full.Trace, en.prog.Leader)
 			if got.Trace != nil {
 				t.Errorf("%s: coverage-only run recorded a trace", name)
 			}

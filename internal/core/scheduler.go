@@ -362,13 +362,11 @@ func (en *Engine) runConcrete(in target.Input, tr *trace.Trace) (*gos.Machine, *
 	cfg.Record = tr != nil
 	cfg.TraceBuf = tr
 	cfg.Cover = true
-	cfg.CoverLeaders = en.leaders
+	cfg.CoverLeaders = true
 	cfg.MaxSteps = en.caps.StepBudget
 	cfg.WatchAddrs = []uint64{en.target}
 	if en.prog == nil {
-		// The image does not decode; gos.New reports why.
-		_, err := gos.New(en.img, cfg)
-		return nil, nil, err
+		return nil, nil, en.loadErr
 	}
 	m := gos.NewProgram(en.prog, cfg)
 	return m, m.Run(), nil

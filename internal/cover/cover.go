@@ -158,8 +158,8 @@ func (s *Set) HasEdge(e Edge) bool {
 
 // FromTrace folds one recorded trace into a coverage set. Edges pair
 // consecutive PCs per (PID, TID) flow; blocks are the executed PCs that
-// appear in leaders (every PC when leaders is nil).
-func FromTrace(tr *trace.Trace, leaders map[uint64]bool) *Set {
+// leader accepts (every PC when leader is nil).
+func FromTrace(tr *trace.Trace, leader func(pc uint64) bool) *Set {
 	s := NewSet()
 	if tr == nil {
 		return s
@@ -174,7 +174,7 @@ func FromTrace(tr *trace.Trace, leaders map[uint64]bool) *Set {
 		}
 		prev[flow] = e.PC
 		seen[flow] = true
-		if leaders == nil || leaders[e.PC] {
+		if leader == nil || leader(e.PC) {
 			s.AddBlock(e.PC)
 		}
 	}

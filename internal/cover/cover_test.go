@@ -50,7 +50,7 @@ func TestFromTraceLeaderFilter(t *testing.T) {
 	tr := &trace.Trace{Entries: []trace.Entry{
 		entry(1, 0, 0x100), entry(1, 0, 0x104), entry(1, 0, 0x108),
 	}}
-	s := FromTrace(tr, map[uint64]bool{0x104: true})
+	s := FromTrace(tr, func(pc uint64) bool { return pc == 0x104 })
 	if _, blocks := s.Len(); blocks != 1 {
 		t.Errorf("blocks = %d, want 1 (leader filter)", blocks)
 	}

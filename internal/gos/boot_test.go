@@ -43,7 +43,7 @@ _start:
     .data
 msg: .ascii "boot"
 `)
-	prog, err := vm.LoadProgram(img)
+	prog, err := vm.Load(img)
 	if err != nil {
 		t.Fatal(err)
 	}

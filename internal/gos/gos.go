@@ -57,9 +57,10 @@ type Config struct {
 	// this is the AFL-style coverage-only mode fuzz mutants run in: no
 	// per-instruction trace is kept.
 	Cover bool
-	// CoverLeaders restricts Result.Cover's blocks to these PCs, as
-	// cover.FromTrace's leaders do (nil: every executed PC).
-	CoverLeaders map[uint64]bool
+	// CoverLeaders restricts Result.Cover's blocks to the program's
+	// basic-block leaders (vm.Program.Leader), as cover.FromTrace's
+	// leader test does; unset, every executed PC is a block.
+	CoverLeaders bool
 	// WatchAddrs lists instruction addresses whose execution should be
 	// reported in Result.Watched (the directed-search target check).
 	WatchAddrs []uint64
@@ -215,19 +216,19 @@ type pipe struct {
 	writers  int    // open write-end descriptors
 }
 
-// New creates a machine for the image under the given configuration.
+// New creates a machine for the image under the given configuration,
+// on the image's program (vm.Load decodes each image once).
 func New(img *bin.Image, cfg Config) (*Machine, error) {
-	prog, err := vm.LoadProgram(img)
+	prog, err := vm.Load(img)
 	if err != nil {
 		return nil, err
 	}
 	return NewProgram(prog, cfg), nil
 }
 
-// NewProgram creates a machine for an already loaded program under the
-// given configuration. A caller that runs one image many times loads it
-// once and shares the program: it is read-only after load, and each
-// machine starts from a copy-on-write clone of its boot memory.
+// NewProgram creates a machine for a loaded program under the given
+// configuration. The program is read-only and shared: each machine
+// starts from a copy-on-write clone of its boot memory.
 func NewProgram(prog *vm.Program, cfg Config) *Machine {
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = DefaultMaxSteps
@@ -445,7 +446,7 @@ func (m *Machine) record(t *thread, e *trace.Entry) {
 		m.web = true
 	}
 	if m.cov != nil && (!t.ran || m.cov.AddEdge(cover.Edge{From: t.lastPC, To: e.PC})) &&
-		(m.cfg.CoverLeaders == nil || m.cfg.CoverLeaders[e.PC]) {
+		(!m.cfg.CoverLeaders || m.prog.Leader(e.PC)) {
 		m.cov.AddBlock(e.PC)
 	}
 	t.lastPC, t.ran = e.PC, true

@@ -20,6 +20,10 @@ const (
 
 	// MaxEncodedLen is the longest possible encoded instruction.
 	MaxEncodedLen = longLen
+
+	// InstrAlign divides every encoded length, so the instructions
+	// decoded from the start of a text begin at multiples of it.
+	InstrAlign = shortLen
 )
 
 // Encoding and decoding errors.

@@ -10,6 +10,11 @@
 // what makes starting a machine from a loaded program's boot memory, and
 // fork(), cheap.
 //
+// A memory that is cloned for as long as the process runs, such as a
+// loaded program's boot memory, is frozen first (Freeze): its pages are
+// copied on every write and shared without a refcount, so no counter
+// grows with the number of clones taken.
+//
 // Concurrency contract: a quiescent Memory (no writer running) may be
 // cloned by any number of goroutines concurrently, and sibling clones may
 // then be written from different goroutines; the copy-on-write fault path
@@ -31,7 +36,10 @@ type page struct {
 	// refs counts how many Memory values currently reference this page.
 	// Pages with refs > 1 are immutable; a write copies the page first.
 	refs int32
-	data [PageSize]byte
+	// frozen pages are immutable for good: every write copies them and
+	// refs is never touched (see Freeze). Set before the page is shared.
+	frozen bool
+	data   [PageSize]byte
 }
 
 // Memory is a sparse 64-bit byte-addressable memory. The zero value is an
@@ -57,17 +65,32 @@ func New() *Memory {
 func (m *Memory) Clone() *Memory {
 	c := &Memory{pages: make(map[uint64]*page, len(m.pages))}
 	for base, p := range m.pages {
-		atomic.AddInt32(&p.refs, 1)
+		if !p.frozen {
+			atomic.AddInt32(&p.refs, 1)
+		}
 		c.pages[base] = p
 	}
 	return c
+}
+
+// Freeze makes every page m holds immutable: from then on a write to
+// one, through m or through any clone, copies it first and counts a COW
+// fault, exactly as a write to a page shared with the frozen memory
+// would; clones share the pages without counting references. Call it
+// before m is shared.
+func (m *Memory) Freeze() {
+	for _, p := range m.pages {
+		p.frozen = true
+	}
 }
 
 // Reset drops all pages, returning the memory to the empty ready state
 // (the same state as the zero value or a fresh New()).
 func (m *Memory) Reset() {
 	for _, p := range m.pages {
-		atomic.AddInt32(&p.refs, -1)
+		if !p.frozen {
+			atomic.AddInt32(&p.refs, -1)
+		}
 	}
 	m.pages = nil
 	m.cowFaults = 0
@@ -81,16 +104,20 @@ func (m *Memory) PageCount() int { return len(m.pages) }
 func (m *Memory) COWFaults() uint64 { return m.cowFaults }
 
 // SharedPages returns how many of this memory's pages are currently
-// shared with at least one other Memory. Intended for tests and stats.
+// shared with at least one other Memory (frozen pages always count).
+// Intended for tests and stats.
 func (m *Memory) SharedPages() int {
 	n := 0
 	for _, p := range m.pages {
-		if atomic.LoadInt32(&p.refs) > 1 {
+		if p.shared() {
 			n++
 		}
 	}
 	return n
 }
+
+// shared reports whether a write must copy the page first.
+func (p *page) shared() bool { return p.frozen || atomic.LoadInt32(&p.refs) > 1 }
 
 func (m *Memory) pageFor(addr uint64, create bool) *page {
 	base := addr &^ uint64(PageSize-1)
@@ -123,9 +150,11 @@ func (m *Memory) writablePage(addr uint64) *page {
 		m.pages[base] = p
 		return p
 	}
-	if atomic.LoadInt32(&p.refs) > 1 {
+	if p.shared() {
 		np := &page{refs: 1, data: p.data}
-		atomic.AddInt32(&p.refs, -1)
+		if !p.frozen {
+			atomic.AddInt32(&p.refs, -1)
+		}
 		m.pages[base] = np
 		m.cowFaults++
 		return np

@@ -268,3 +268,52 @@ func TestQuickUintRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFrozenPagesNotCounted freezes a boot memory and clones it many
+// times: no counter on its pages may move, every clone's first write to
+// a frozen page copies it (one COW fault, the boot bytes untouched), a
+// clone of a clone still shares the frozen page, and Reset releases
+// nothing.
+func TestFrozenPagesNotCounted(t *testing.T) {
+	boot := New()
+	boot.WriteCString(0x10, "boot")
+	boot.StoreByte(PageSize, 7)
+	boot.Freeze()
+	p := boot.pages[0]
+	refs := p.refs
+
+	clones := make([]*Memory, 1000)
+	for i := range clones {
+		clones[i] = boot.Clone()
+	}
+	if p.refs != refs {
+		t.Fatalf("refs = %d after %d clones, want %d", p.refs, len(clones), refs)
+	}
+	if got := clones[0].SharedPages(); got != 2 {
+		t.Errorf("clone SharedPages = %d, want 2", got)
+	}
+
+	c := clones[0]
+	c.WriteCString(0x10, "mine")
+	c.WriteCString(0x14, "!")
+	if c.COWFaults() != 1 || c.pages[0] == p {
+		t.Errorf("clone write: %d COW faults, page copied %v; want 1 and a copy", c.COWFaults(), c.pages[0] != p)
+	}
+	grand := clones[1].Clone()
+	if grand.pages[0] != p {
+		t.Error("a clone of a clone does not share the frozen page")
+	}
+	grand.StoreByte(0x10, 'X')
+	if grand.COWFaults() != 1 {
+		t.Errorf("clone of a clone: %d COW faults, want 1", grand.COWFaults())
+	}
+	for _, c := range clones {
+		c.Reset()
+	}
+	if p.refs != refs {
+		t.Errorf("refs = %d after the clones' Reset, want %d", p.refs, refs)
+	}
+	if got := boot.ReadCString(0x10, 8); got != "boot" || boot.LoadByte(PageSize) != 7 {
+		t.Errorf("boot memory reads %q, %d after the clones wrote, want \"boot\", 7", got, boot.LoadByte(PageSize))
+	}
+}

@@ -16,10 +16,11 @@ import (
 // stay the same: a change to either can move the model a query returns
 // or the conflict count behind a conflict-budget Unknown. Such a change
 // renames the revision, so entries written before it (queries.jsonl
-// outlives the binary) are never looked up again. "divconst" is the
-// encoding that divides by a constant as multiply-and-check; the
-// restoring divider's entries were keyed "d".
-const EncodingRevision = "divconst"
+// outlives the binary) are never looked up again. "sdiv0" is the
+// encoding whose signed division by a symbolic zero gives all ones, as
+// sym.Eval does; before it, "divconst" divided by a constant as
+// multiply-and-check and the restoring divider's entries were keyed "d".
+const EncodingRevision = "sdiv0"
 
 // SharedKey is the shared-tier key of a query: EncodingRevision, the
 // system's cross-process-stable digest (sym.DigestKey) and the conflict
@@ -66,7 +67,9 @@ func SharedKey(constraints []sym.Expr, maxConflicts int64) string {
 // allocates only where it outgrows them; Reset makes the reuse
 // invisible to the search (DESIGN.md §9). A miss finding no idle solver
 // makes one, so the cache keeps at most as many solvers as it has seen
-// concurrent misses, and they are freed with it.
+// concurrent misses, and they are freed with it. Finishing a Sat model
+// reads each constraint's variable list from a memo the cache keeps per
+// interned constraint, also freed with it.
 //
 // A Cache is safe for concurrent use by multiple goroutines.
 type Cache struct {
@@ -74,6 +77,7 @@ type Cache struct {
 	entries *lru[cacheEntry]
 	shared  QueryCache
 	idle    []*sat.Solver // Reset solvers between misses
+	vars    varLists      // each constraint's variables, for finishBV
 
 	hits, misses, evictions, bypasses      uint64
 	sharedHits, sharedMisses, sharedStores uint64
@@ -172,7 +176,7 @@ func (c *Cache) SolveContext(ctx context.Context, constraints []sym.Expr, opts O
 
 	key := sym.CanonicalKey(constraints) + "|" + strconv.FormatInt(opts.MaxConflicts, 10)
 	if res, ok := c.lookup(key); ok {
-		return finishBV(res, constraints, opts), nil
+		return c.finishBV(res, constraints, opts), nil
 	}
 
 	// LRU miss: consult the shared tier before paying for a solve. The
@@ -191,7 +195,7 @@ func (c *Cache) SolveContext(ctx context.Context, constraints []sym.Expr, opts O
 				c.sharedServed++
 				c.mu.Unlock()
 				c.storeTagged(key, cachedResult{status: res.status, conflicts: res.conflicts, model: cloneEnv(res.model)}, true)
-				return finishBV(res, constraints, opts), nil
+				return c.finishBV(res, constraints, opts), nil
 			}
 		}
 		c.mu.Lock()
@@ -219,19 +223,19 @@ func (c *Cache) SolveContext(ctx context.Context, constraints []sym.Expr, opts O
 			c.mu.Unlock()
 		}
 	}
-	return finishBV(res, constraints, opts), nil
+	return c.finishBV(res, constraints, opts), nil
 }
 
 // finishBV applies the caller-specific post-processing to a raw
 // bitvector result. res.model is consumed only through a copy, so cached
 // entries stay pristine.
-func finishBV(res cachedResult, constraints []sym.Expr, opts Options) Result {
+func (c *Cache) finishBV(res cachedResult, constraints []sym.Expr, opts Options) Result {
 	if res.status != StatusSat {
 		return Result{Status: res.status, Conflicts: res.conflicts}
 	}
 	model := cloneEnv(res.model)
-	completeModel(model, constraints, opts.Seed)
-	minimizeModel(model, constraints, opts.Seed)
+	completeModel(model, constraints, opts.Seed, &c.vars)
+	minimizeModel(model, constraints, opts.Seed, &c.vars)
 	return Result{Status: StatusSat, Model: model, Conflicts: res.conflicts}
 }
 

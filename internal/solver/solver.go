@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/bitblast"
@@ -130,8 +131,8 @@ func SolveContext(ctx context.Context, constraints []sym.Expr, opts Options) (Re
 		return Result{}, err
 	}
 	if st == StatusSat {
-		completeModel(model, constraints, opts.Seed)
-		minimizeModel(model, constraints, opts.Seed)
+		completeModel(model, constraints, opts.Seed, nil)
+		minimizeModel(model, constraints, opts.Seed, nil)
 		return Result{Status: StatusSat, Model: model, Conflicts: conflicts}, nil
 	}
 	return Result{Status: st, Conflicts: conflicts}, nil
@@ -221,42 +222,84 @@ func solveBV(ctx context.Context, s *sat.Solver, constraints []sym.Expr, opts Op
 
 // minimizeModel greedily resets variables to their seed values where the
 // constraint system stays satisfied, removing solver-chosen junk from
-// generated inputs (deterministic: variables in sorted order).
-func minimizeModel(model map[string]uint64, constraints []sym.Expr, seed map[string]uint64) {
+// generated inputs (deterministic: variables in sorted order). The
+// system holds before each reset, so a reset re-checks only the
+// constraints that mention the variable: the others keep their value.
+func minimizeModel(model map[string]uint64, constraints []sym.Expr, seed map[string]uint64, lists *varLists) {
 	if len(seed) == 0 {
 		return
 	}
-	satisfied := func() bool {
-		for _, c := range constraints {
-			if sym.Eval(c, model) != 1 {
-				return false
-			}
+	for _, c := range constraints {
+		if sym.Eval(c, model) != 1 {
+			return // model completion can violate unrelated seeds; keep as is
 		}
-		return true
 	}
-	if !satisfied() {
-		return // model completion can violate unrelated seeds; keep as is
+	uses := make(map[string][]int) // variable -> constraints mentioning it
+	for i, c := range constraints {
+		for _, name := range lists.of(c) {
+			uses[name] = append(uses[name], i)
+		}
 	}
-	for _, name := range sym.Vars(constraints...) {
+	names := make([]string, 0, len(uses))
+	for name := range uses {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		sv, ok := seed[name]
 		if !ok || model[name] == sv {
 			continue
 		}
 		old := model[name]
 		model[name] = sv
-		if !satisfied() {
-			model[name] = old
+		for _, i := range uses[name] {
+			if sym.Eval(constraints[i], model) != 1 {
+				model[name] = old
+				break
+			}
 		}
 	}
 }
 
 // completeModel fills variables missing from the model with seed values.
-func completeModel(model map[string]uint64, constraints []sym.Expr, seed map[string]uint64) {
-	for name := range sym.VarWidths(constraints...) {
-		if _, ok := model[name]; !ok {
-			model[name] = seed[name]
+func completeModel(model map[string]uint64, constraints []sym.Expr, seed map[string]uint64, lists *varLists) {
+	for _, c := range constraints {
+		for _, name := range lists.of(c) {
+			if _, ok := model[name]; !ok {
+				model[name] = seed[name]
+			}
 		}
 	}
+}
+
+// varLists memoizes the sorted variable names of each interned
+// constraint, so finishing a model reads one list per constraint instead
+// of walking the whole system. A Cache keeps one for its lifetime; a nil
+// *varLists computes every list afresh.
+type varLists struct {
+	mu sync.Mutex
+	m  map[sym.Expr][]string
+}
+
+// of returns the names of the variables in c, sorted.
+func (v *varLists) of(c sym.Expr) []string {
+	if v == nil || !sym.Interned(c) {
+		return sym.Vars(c)
+	}
+	v.mu.Lock()
+	names, ok := v.m[c]
+	v.mu.Unlock()
+	if ok {
+		return names
+	}
+	names = sym.Vars(c)
+	v.mu.Lock()
+	if v.m == nil {
+		v.m = make(map[sym.Expr][]string)
+	}
+	v.m[c] = names
+	v.mu.Unlock()
+	return names
 }
 
 // trivialFPAssign satisfies float comparisons whose one side is a bare
@@ -416,7 +459,7 @@ func fpSearch(ctx context.Context, constraints []sym.Expr, opts Options) Result 
 			best = p
 			if best == 0 {
 				model := slotModel(names, env)
-				minimizeModel(model, constraints, opts.Seed)
+				minimizeModel(model, constraints, opts.Seed, nil)
 				return Result{Status: StatusSat, Model: model}
 			}
 		}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sym"
 	"repro/internal/trace"
+	"repro/internal/vm"
 )
 
 // Stage is a symbolic-reasoning error stage (the paper's Es0..Es3).
@@ -398,18 +399,22 @@ func Run(img *bin.Image, tr *trace.Trace, argv []gos.Region, argvStr []string, o
 			x.extAddr[s.Addr] = s.Name
 		}
 	}
-	x.initState(argv, argvStr)
+	prog, err := vm.Load(img)
+	if err != nil {
+		// The guest cannot run such an image, so no trace comes from it.
+		x.crash(err.Error())
+		return x.res
+	}
+	x.initState(prog, argv, argvStr)
 	x.walk()
 	return x.res
 }
 
 // initState builds the initial symbolic and concrete memory for the root
-// process: image sections, the argv block, and argv[1]'s symbolic bytes.
-func (x *exec) initState(argv []gos.Region, argvStr []string) {
-	cm := mem.New()
-	for _, sec := range x.img.Sections {
-		cm.Write(sec.Addr, sec.Data)
-	}
+// process: a clone of the program's boot memory (the image sections),
+// the argv block, and argv[1]'s symbolic bytes.
+func (x *exec) initState(prog *vm.Program, argv []gos.Region, argvStr []string) {
+	cm := prog.Memory()
 	// Rebuild the loader's argv block: pointer array then strings.
 	for i, r := range argv {
 		cm.WriteUint(bin.ArgBase+uint64(8*i), 8, r.Addr) //nolint:errcheck // size 8 is valid

@@ -23,7 +23,7 @@ _start:
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := LoadProgram(img)
+	p, err := Load(img)
 	if err != nil {
 		b.Fatal(err)
 	}

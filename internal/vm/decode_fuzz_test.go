@@ -7,27 +7,47 @@ import (
 	"repro/internal/isa"
 )
 
-// refDecode is the reference model of LoadProgram: a map from every
+type refInstr struct {
+	instr  isa.Instr
+	len    uint8
+	leader bool
+}
+
+// refDecode is the reference model of Load: a map from every
 // instruction start to its decoded form, built by walking isa.Decode
-// over the text.
-func refDecode(base uint64, text []byte) (map[uint64]decoded, error) {
-	code := make(map[uint64]decoded)
+// over the text, with each instruction's leader flag set from a leader
+// set built the way the coverage layer defines blocks.
+func refDecode(base uint64, text []byte) (map[uint64]refInstr, error) {
+	code := make(map[uint64]refInstr)
+	leaders := map[uint64]bool{base: true}
 	for off := 0; off < len(text); {
 		in, n, err := isa.Decode(text[off:])
 		if err != nil {
 			return nil, err
 		}
-		code[base+uint64(off)] = decoded{instr: in, len: uint8(n)}
+		addr := base + uint64(off)
+		code[addr] = refInstr{instr: in, len: uint8(n)}
+		if op := in.Op; op.IsJump() || op == isa.OpCall || op == isa.OpRet || op == isa.OpHalt {
+			leaders[addr+uint64(n)] = true
+			if in.Mode == isa.ModeI && op != isa.OpRet && op != isa.OpHalt {
+				leaders[uint64(in.Imm)] = true
+			}
+		}
 		off += n
+	}
+	for a, d := range code {
+		d.leader = leaders[a]
+		code[a] = d
 	}
 	return code, nil
 }
 
-// FuzzProgramDecode checks the dense decode table against the reference
-// map: the script encodes a random instruction stream at a random text
-// base, followed by up to 16 bytes of trailing garbage. Both models must
-// agree on whether the text decodes, At must agree with the map at every
-// address from 16 bytes below the text to 16 past its end, and Instrs
+// FuzzProgramDecode checks the slot-indexed decode table against the
+// reference map: the script encodes a random instruction stream at a
+// random text base, followed by up to 16 bytes of trailing garbage. Both
+// models must agree on whether the text decodes, At and Leader must
+// agree with the map at every address from 16 bytes below the text to
+// 16 past its end, NumLeaders must count the map's leaders, and Instrs
 // must visit exactly the map's instructions in ascending address order.
 func FuzzProgramDecode(f *testing.F) {
 	f.Add([]byte{0, 3, 2, 1, 1, 2, 3, 4, 5, 20, 2, 1, 0, 0, 9})
@@ -62,10 +82,10 @@ func FuzzProgramDecode(f *testing.F) {
 		text = append(text, rest[:min(len(rest), 16)]...)
 
 		img := &bin.Image{Entry: base, Sections: []bin.Section{{Name: ".text", Addr: base, Data: text}}}
-		p, err := LoadProgram(img)
+		p, err := Load(img)
 		ref, rerr := refDecode(base, text)
 		if (err == nil) != (rerr == nil) {
-			t.Fatalf("LoadProgram error %v, reference error %v", err, rerr)
+			t.Fatalf("Load error %v, reference error %v", err, rerr)
 		}
 		if err != nil {
 			return
@@ -78,6 +98,18 @@ func FuzzProgramDecode(f *testing.F) {
 			if ok != wok || (ok && (in != want.instr || n != int(want.len))) {
 				t.Fatalf("At(%#x) = %+v/%d/%v, reference %+v/%d/%v", a, in, n, ok, want.instr, want.len, wok)
 			}
+			if got := p.Leader(a); got != want.leader {
+				t.Fatalf("Leader(%#x) = %v, reference %v", a, got, want.leader)
+			}
+		}
+		leaders := 0
+		for _, d := range ref {
+			if d.leader {
+				leaders++
+			}
+		}
+		if p.NumLeaders() != leaders {
+			t.Fatalf("NumLeaders = %d, reference holds %d", p.NumLeaders(), leaders)
 		}
 		visited, last := 0, uint64(0)
 		p.Instrs(func(a uint64, in isa.Instr, n int) {

@@ -7,6 +7,8 @@ package vm
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/bin"
 	"repro/internal/isa"
@@ -35,65 +37,150 @@ func (c *CPU) SP() uint64 { return c.Regs[isa.SP] }
 // SetSP sets the stack pointer.
 func (c *CPU) SetSP(v uint64) { c.Regs[isa.SP] = v }
 
-// Program is a loaded binary image: a dense table with one slot per
-// byte of text, indexed by pc - base, holding the instruction that starts
-// at that address, plus the boot memory holding every section's bytes.
-// LB64 text is immutable after load, so decoding once up front is sound
-// (self-modifying code is out of scope). A slot whose len is zero starts
-// no instruction, so a jump into the middle of one faults exactly like a
-// jump outside the text.
+// Program is a loaded binary image: its decoded text and a boot memory
+// holding every section's bytes. LB64 text is immutable after load, so
+// decoding once up front is sound (self-modifying code is out of scope).
 //
-// A Program is read-only after load: the boot memory is never written
-// again, and machines start from copy-on-write clones of it (Memory), so
-// any number of goroutines may share one Program.
+// The decoded instructions sit in one address-ordered list of 16-byte
+// entries. Instructions start only at multiples of isa.InstrAlign from
+// the text base, so starts holds one bit per InstrAlign bytes of text,
+// set where an instruction starts, and rank[i] counts the bits set in
+// starts[:i]: the instruction at a start is the list entry whose index
+// is the number of starts below it. A pc whose bit is clear, or off the
+// grid, starts no instruction, so a jump into the middle of one faults
+// exactly like a jump outside the text. Each entry also carries whether
+// it is a basic-block leader: a static property of the text that the
+// coverage metric counts.
+//
+// A Program is read-only after load: the boot memory is frozen, and
+// machines and symbolic passes start from copy-on-write clones of it
+// (Memory), so any number of goroutines may share one Program. Load
+// decodes each image once and hangs the Program on it.
 type Program struct {
-	Image *bin.Image
-	base  uint64
-	code  []decoded
-	n     int
-	boot  *mem.Memory
+	Image   *bin.Image
+	base    uint64
+	starts  []uint64
+	rank    []uint32
+	code    []decoded
+	leaders int
+	boot    *mem.Memory
 }
 
+// decoded is an isa.Instr with its encoded length and leader flag, laid
+// out to fill 16 bytes.
 type decoded struct {
-	instr isa.Instr
-	len   uint8 // 0: no instruction starts here
+	imm    int64
+	op     isa.Op
+	mode   isa.Mode
+	size   uint8
+	r1, r2 isa.Reg
+	len    uint8
+	leader bool
 }
 
-// LoadProgram decodes the text section of an image and writes every
-// section into the program's boot memory.
-func LoadProgram(img *bin.Image) (*Program, error) {
+func (d *decoded) instr() isa.Instr {
+	return isa.Instr{Op: d.op, Mode: d.mode, Size: d.size, R1: d.r1, R2: d.r2, Imm: d.imm}
+}
+
+// loaded is what Load keeps on an image: the program, or why the image
+// does not decode.
+type loaded struct {
+	prog *Program
+	err  error
+}
+
+// Load returns the image's program, decoding it on the first call for
+// that image: every later call, from any goroutine, returns the same
+// *Program (or the same error). The image must not be modified after.
+func Load(img *bin.Image) (*Program, error) {
+	l := img.Loaded(func(img *bin.Image) any {
+		p, err := decode(img)
+		return loaded{p, err}
+	}).(loaded)
+	return l.prog, l.err
+}
+
+// decode decodes the text section of an image, marks its block leaders
+// and writes every section into a frozen boot memory.
+func decode(img *bin.Image) (*Program, error) {
 	sec, ok := img.Section(".text")
 	if !ok {
 		return nil, fmt.Errorf("vm: image has no .text section")
 	}
-	p := &Program{Image: img, base: sec.Addr, code: make([]decoded, len(sec.Data)), boot: mem.New()}
-	off := 0
-	for off < len(sec.Data) {
+	words := (len(sec.Data) + isa.InstrAlign - 1) / isa.InstrAlign
+	p := &Program{
+		Image:  img,
+		base:   sec.Addr,
+		starts: make([]uint64, (words+63)/64),
+		rank:   make([]uint32, (words+63)/64),
+		boot:   mem.New(),
+	}
+	var code []decoded
+	for off := 0; off < len(sec.Data); {
 		in, n, err := isa.Decode(sec.Data[off:])
 		if err != nil {
 			return nil, fmt.Errorf("vm: decode at %#x: %w", sec.Addr+uint64(off), err)
 		}
-		p.code[off] = decoded{instr: in, len: uint8(n)}
-		p.n++
+		code = append(code, decoded{imm: in.Imm, op: in.Op, mode: in.Mode, size: in.Size, r1: in.R1, r2: in.R2, len: uint8(n)})
+		w := off / isa.InstrAlign
+		p.starts[w/64] |= 1 << (w % 64)
 		off += n
 	}
+	p.code = slices.Clone(code) // the program outlives decoding: drop append's slack
+	n := 0
+	for i, s := range p.starts {
+		p.rank[i] = uint32(n)
+		n += bits.OnesCount64(s)
+	}
+	p.markLeaders()
 	for _, sec := range img.Sections {
 		p.boot.Write(sec.Addr, sec.Data)
 	}
+	p.boot.Freeze()
 	return p, nil
+}
+
+// markLeaders flags the static basic-block leaders: the first
+// instruction, every direct transfer target, and every instruction
+// following a control transfer. Addresses that start no instruction
+// (the successor of a final halt, a target off the text) are not
+// leaders.
+func (p *Program) markLeaders() {
+	mark := func(addr uint64) {
+		if d := p.lookup(addr); d != nil && !d.leader {
+			d.leader = true
+			p.leaders++
+		}
+	}
+	mark(p.base)
+	p.Instrs(func(addr uint64, in isa.Instr, size int) {
+		op := in.Op
+		if op.IsJump() || op == isa.OpCall || op == isa.OpRet || op == isa.OpHalt {
+			mark(addr + uint64(size))
+			if in.Mode == isa.ModeI && op != isa.OpRet && op != isa.OpHalt {
+				mark(uint64(in.Imm))
+			}
+		}
+	})
 }
 
 // Memory returns a copy-on-write clone of the boot memory: the image's
 // sections as loaded, sharing every page until the clone writes to it.
 func (p *Program) Memory() *mem.Memory { return p.boot.Clone() }
 
-// lookup returns the slot of the instruction starting at addr, or nil.
+// lookup returns the entry of the instruction starting at addr, or nil.
 func (p *Program) lookup(addr uint64) *decoded {
 	off := addr - p.base
-	if off >= uint64(len(p.code)) || p.code[off].len == 0 {
+	w := off / isa.InstrAlign
+	i := w / 64
+	if off%isa.InstrAlign != 0 || i >= uint64(len(p.starts)) {
 		return nil
 	}
-	return &p.code[off]
+	bit := uint64(1) << (w % 64)
+	if p.starts[i]&bit == 0 {
+		return nil
+	}
+	return &p.code[int(p.rank[i])+bits.OnesCount64(p.starts[i]&(bit-1))]
 }
 
 // At returns the decoded instruction at addr.
@@ -102,19 +189,30 @@ func (p *Program) At(addr uint64) (isa.Instr, int, bool) {
 	if d == nil {
 		return isa.Instr{}, 0, false
 	}
-	return d.instr, int(d.len), true
+	return d.instr(), int(d.len), true
 }
 
+// Leader reports whether an instruction starts at addr and begins a
+// basic block.
+func (p *Program) Leader(addr uint64) bool {
+	d := p.lookup(addr)
+	return d != nil && d.leader
+}
+
+// NumLeaders returns the number of basic-block leaders.
+func (p *Program) NumLeaders() int { return p.leaders }
+
 // NumInstrs returns the number of decoded instructions.
-func (p *Program) NumInstrs() int { return p.n }
+func (p *Program) NumInstrs() int { return len(p.code) }
 
 // Instrs calls f for every decoded instruction in ascending address
 // order (static analyses over the code need a stable iteration order).
 func (p *Program) Instrs(f func(addr uint64, in isa.Instr, size int)) {
-	for off := 0; off < len(p.code); {
-		d := &p.code[off]
-		f(p.base+uint64(off), d.instr, int(d.len))
-		off += int(d.len)
+	addr := p.base
+	for i := range p.code {
+		d := &p.code[i]
+		f(addr, d.instr(), int(d.len))
+		addr += uint64(d.len)
 	}
 }
 
@@ -149,7 +247,7 @@ func Exec(cpu *CPU, m *mem.Memory, prog *Program, e *trace.Entry) StepKind {
 		e.Exc = &trace.ExcEvent{Kind: "badpc"}
 		return StepFault
 	}
-	in := d.instr
+	in := d.instr()
 	e.Instr = in
 	next := cpu.PC + uint64(d.len)
 

@@ -19,9 +19,9 @@ func progFrom(t *testing.T, text string) *Program {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	p, err := LoadProgram(img)
+	p, err := Load(img)
 	if err != nil {
-		t.Fatalf("LoadProgram: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
 	return p
 }
@@ -380,8 +380,8 @@ func TestLoadProgramErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	img.Sections = img.Sections[1:] // drop .text
-	if _, err := LoadProgram(img); err == nil {
-		t.Error("LoadProgram without .text should fail")
+	if _, err := Load(img); err == nil {
+		t.Error("Load without .text should fail")
 	}
 }
 
