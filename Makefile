@@ -14,8 +14,9 @@ GOFMT ?= gofmt
 # append-only journal (crashed log plus single- and two-handle appends
 # against a line-split reference model), the job-journal replay (against
 # an in-memory reference model), the symbolic-store weak-update image
-# (against a concrete-memory reference model) and 64-bit division by a
-# constant (against sym.Eval), then the full suite.
+# (against a concrete-memory reference model), 64-bit division by a
+# constant (against sym.Eval) and the coverage set's merge (against a
+# map reference model), then the full suite.
 ci: vet build race fuzz test
 
 # vet fails on any Go file gofmt would rewrite, bench/ and dot
@@ -50,6 +51,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime=5s ./internal/jobstore/
 	$(GO) test -run '^$$' -fuzz FuzzSymbolicWriteEquivalence -fuzztime=5s ./internal/symexec/
 	$(GO) test -run '^$$' -fuzz FuzzDivConst -fuzztime=5s ./internal/bitblast/
+	$(GO) test -run '^$$' -fuzz FuzzCoverSetMerge -fuzztime=5s ./internal/cover/
 
 test:
 	$(GO) test ./...

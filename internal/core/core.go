@@ -319,10 +319,12 @@ type Engine struct {
 	traceMu sync.Mutex
 	traces  []*trace.Trace
 
-	// Coverage state (see coverage.go). cov is the engine's own
-	// cumulative tracker — the deterministic scoring and goal view;
-	// every merged run also feeds cover.Global() for process metrics.
-	cov        *cover.Tracker
+	// Coverage state (see coverage.go). cov is the exploration's
+	// cumulative coverage, the scoring and goal view. It has no lock:
+	// only the engine goroutine merges into it (applyRound, breed), and
+	// only between batches; a batch's rounds read it (negate) while no
+	// merge runs.
+	cov        *cover.Set
 	prog       *vm.Program // the image's program; nil when undecodable
 	loadErr    error       // why the image does not decode
 	goalBlocks int         // resolved CoverGoal in blocks (0: no goal)
@@ -376,7 +378,7 @@ func New(img *bin.Image, target uint64, caps Capabilities) *Engine {
 		out:        &Outcome{},
 		ctx:        context.Background(),
 		cache:      newEngineCache(caps),
-		cov:        cover.NewTracker(),
+		cov:        cover.NewSet(),
 		prog:       prog,
 		loadErr:    loadErr,
 		goalBlocks: goalBlocks,
@@ -519,8 +521,7 @@ func (en *Engine) finishStats(start time.Time) {
 	en.stats.InternHits = as.Hits - en.arena0.Hits
 	en.stats.InternMisses = as.Misses - en.arena0.Misses
 	en.stats.ArenaNodes = as.Size
-	en.stats.CoveredEdges = en.cov.Edges()
-	en.stats.CoveredBlocks = en.cov.Blocks()
+	en.stats.CoveredEdges, en.stats.CoveredBlocks = en.cov.Len()
 	en.out.Stats = en.stats
 }
 

@@ -174,8 +174,7 @@ func (en *Engine) breed() bool {
 		if !en.caps.WebSyscall && res.Web {
 			continue
 		}
-		newEdges, _ := en.cov.Merge(res.Cover)
-		cover.Global().Merge(res.Cover)
+		newEdges := en.cov.Merge(res.Cover)
 		if res.Hit(en.target) {
 			en.out.Verdict = VerdictSolved
 			en.out.Input = in
@@ -197,12 +196,14 @@ func (en *Engine) breed() bool {
 // coverGoalReached checks the early-stop block goal (never set by
 // default).
 func (en *Engine) coverGoalReached() bool {
-	return en.goalBlocks > 0 && en.cov.Blocks() >= en.goalBlocks
+	_, blocks := en.cov.Len()
+	return en.goalBlocks > 0 && blocks >= en.goalBlocks
 }
 
 func (en *Engine) coverGoalDetail() string {
+	edges, blocks := en.cov.Len()
 	return fmt.Sprintf("coverage goal reached: %d edges, %d/%d blocks covered",
-		en.cov.Edges(), en.cov.Blocks(), en.prog.NumLeaders())
+		edges, blocks, en.prog.NumLeaders())
 }
 
 // flipEdgeFor returns the control-flow edge that negating pc's branch

@@ -183,8 +183,7 @@ func (en *Engine) applyRound(rec *roundRec) bool {
 		// per-round novelty counts — and the corpus they feed — are
 		// identical at every worker count (the runs themselves depend only
 		// on their inputs).
-		newEdges, _ := en.cov.Merge(rec.cov)
-		cover.Global().Merge(rec.cov)
+		newEdges := en.cov.Merge(rec.cov)
 		en.stats.NewEdgesPerRound = append(en.stats.NewEdgesPerRound, newEdges)
 		if newEdges > 0 && en.fuzzOn() {
 			en.corpusAdd(rec.input)
@@ -245,11 +244,12 @@ func (en *Engine) emitProgress() {
 	if en.caps.Progress == nil {
 		return
 	}
+	edges, blocks := en.cov.Len()
 	en.caps.Progress(Progress{
 		Round:         en.out.Rounds,
 		SolverQueries: en.stats.SolverQueries,
-		CoveredEdges:  en.cov.Edges(),
-		CoveredBlocks: en.cov.Blocks(),
+		CoveredEdges:  edges,
+		CoveredBlocks: blocks,
 		Frontier:      en.frontierLen(),
 	})
 }
@@ -425,8 +425,8 @@ func (en *Engine) negate(rec *roundRec, cur target.Input, sr *symexec.Result, tr
 	if en.caps.Search == SearchCoverage && n > 0 {
 		// Flip-target edges: the coverage scorer's signal for the pushed
 		// candidates, and the issue-order key below. Read-only against
-		// the engine tracker — safe from parallel rounds, because merges
-		// only happen between batches.
+		// the engine's cumulative set — safe from parallel rounds, because
+		// merges only happen between batches.
 		flipEdges = make([]cover.Edge, n)
 		uncovered := make([]bool, n)
 		for i := range sr.Constraints {

@@ -39,7 +39,7 @@ type Stats struct {
 
 	// Guest memory sharing (DESIGN.md §12).
 	CheckpointResumes int    `json:"checkpoint_resumes,omitempty" merge:"sum" help:"Always 0: kept for the repository benchmark, which still reads it; rounds always start from the program entry point."`
-	PagesCOWFaulted   uint64 `json:"pages_cow_faulted" merge:"sum" prom:"concolicd_checkpoint_cow_faults_total" help:"Guest memory pages copied on write from the boot image or from a forked parent."`
+	PagesCOWFaulted   uint64 `json:"pages_cow_faulted" merge:"sum" prom:"concolicd_pages_cow_faulted_total" help:"Guest memory pages copied on write from the boot image or from a forked parent."`
 
 	// Shared solver-cache tier (DESIGN.md §16): concolicd's -sharedcache
 	// file tier, or the in-process tier eval.RunCell gives every cell;

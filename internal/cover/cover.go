@@ -2,8 +2,9 @@
 // counters. It is the feedback signal for the engine's coverage-guided
 // search strategy (core.SearchCoverage) and for the hybrid mutation
 // fuzzer: every concrete trace — concolic round or fuzz execution — is
-// folded into a per-run Set, merged into a cumulative Tracker, and the
-// number of edges seen for the first time is the run's novelty.
+// folded into a per-run Set, merged into the exploration's cumulative
+// Set, and the number of edges seen for the first time is the run's
+// novelty.
 //
 // An edge is an ordered pair of consecutive program counters executed by
 // the same thread of the same process; interleaved schedules therefore
@@ -12,19 +13,18 @@
 // the decoded image); with no leader set every executed PC counts, which
 // degrades gracefully for images that fail to decode.
 //
-// The Tracker is sharded 64 ways like the sym intern arena, so many
-// engines (grid cells, service jobs, fuzz executions) can merge and
-// query concurrently without a global lock. Merge results are
-// order-independent in value — a Set's novelty depends only on which
-// edges the tracker already holds, never on map iteration order — which
-// is what lets the engine keep its cross-worker-count determinism while
-// feeding the tracker from parallel rounds' merges.
+// A Set carries no lock. Coverage belongs to one exploration, and the
+// engine keeps the invariant that makes a lock unnecessary: only the
+// engine goroutine merges into its cumulative set, and only between
+// batches of rounds; the rounds of a batch read the set concurrently
+// while no merge runs. Merge counts depend only on the merged set's
+// content and the receiver's prior content, never on iteration order,
+// so merging rounds in dispatch order gives the same novelty at every
+// worker count.
 package cover
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/trace"
 )
@@ -35,8 +35,9 @@ type Edge struct {
 	From, To uint64
 }
 
-// Set is one run's coverage view. It is built single-threaded (one run,
-// one builder) and read-only afterwards, so it carries no lock.
+// Set is a coverage view: one run's, built by the guest VM or FromTrace,
+// or an exploration's cumulative one, grown by Merge. It carries no lock
+// (see the package doc for who may write it when).
 //
 // The guest VM feeds it one executed edge per instruction, so the edge
 // set is a flat open-addressed table (linear probing, at most half
@@ -62,6 +63,17 @@ func NewSet() *Set {
 }
 
 func edgeHash(e Edge) uint64 { return mix(e.From*0x9e3779b97f4a7c15 ^ e.To) }
+
+// mix is the splitmix64 finalizer: it spreads structurally close edges
+// (neighbouring PCs) across the table.
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
 
 // slot returns the index of e's slot in the table, or of the free slot
 // where e belongs. e must not be the zero Edge.
@@ -156,6 +168,29 @@ func (s *Set) HasEdge(e Edge) bool {
 	return s.slots[s.slot(e)] == e
 }
 
+// HasBlock reports whether the set saw the block leader.
+func (s *Set) HasBlock(pc uint64) bool {
+	_, ok := s.blocks[pc]
+	return ok
+}
+
+// Merge folds o into s and reports how many of o's edges s did not hold
+// yet. A nil o merges nothing.
+func (s *Set) Merge(o *Set) (newEdges int) {
+	if o == nil {
+		return 0
+	}
+	o.eachEdge(func(e Edge) {
+		if s.AddEdge(e) {
+			newEdges++
+		}
+	})
+	for pc := range o.blocks {
+		s.AddBlock(pc)
+	}
+	return newEdges
+}
+
 // FromTrace folds one recorded trace into a coverage set. Edges pair
 // consecutive PCs per (PID, TID) flow; blocks are the executed PCs that
 // leader accepts (every PC when leader is nil).
@@ -179,117 +214,4 @@ func FromTrace(tr *trace.Trace, leader func(pc uint64) bool) *Set {
 		}
 	}
 	return s
-}
-
-// shardCount mirrors the sym intern arena's sharding: enough shards
-// that concurrent engines rarely collide, few enough that the fixed
-// footprint stays trivial.
-const shardCount = 64
-
-type shard struct {
-	mu     sync.RWMutex
-	edges  map[Edge]struct{}
-	blocks map[uint64]struct{}
-}
-
-// Tracker is a cumulative, concurrency-safe coverage store. The engine
-// keeps one per exploration (the deterministic scoring view) and the
-// process keeps one global instance (the /metrics view).
-type Tracker struct {
-	shards [shardCount]shard
-	edges  atomic.Int64
-	blocks atomic.Int64
-}
-
-// NewTracker returns an empty tracker.
-func NewTracker() *Tracker {
-	t := &Tracker{}
-	for i := range t.shards {
-		t.shards[i].edges = make(map[Edge]struct{})
-		t.shards[i].blocks = make(map[uint64]struct{})
-	}
-	return t
-}
-
-// mix is the splitmix64 finalizer, the same diffusion the intern arena
-// uses to spread structurally close keys across shards.
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-func edgeShard(e Edge) uint64 { return edgeHash(e) & (shardCount - 1) }
-
-func blockShard(pc uint64) uint64 { return mix(pc) & (shardCount - 1) }
-
-// Merge folds a run's set into the tracker and reports how many of its
-// edges and blocks were new. The counts depend only on set content and
-// prior tracker state, never on iteration order.
-func (t *Tracker) Merge(s *Set) (newEdges, newBlocks int) {
-	if s == nil {
-		return 0, 0
-	}
-	s.eachEdge(func(e Edge) {
-		sh := &t.shards[edgeShard(e)]
-		sh.mu.Lock()
-		if _, ok := sh.edges[e]; !ok {
-			sh.edges[e] = struct{}{}
-			newEdges++
-		}
-		sh.mu.Unlock()
-	})
-	for pc := range s.blocks {
-		sh := &t.shards[blockShard(pc)]
-		sh.mu.Lock()
-		if _, ok := sh.blocks[pc]; !ok {
-			sh.blocks[pc] = struct{}{}
-			newBlocks++
-		}
-		sh.mu.Unlock()
-	}
-	t.edges.Add(int64(newEdges))
-	t.blocks.Add(int64(newBlocks))
-	return newEdges, newBlocks
-}
-
-// HasEdge reports whether the tracker has seen the edge.
-func (t *Tracker) HasEdge(e Edge) bool {
-	sh := &t.shards[edgeShard(e)]
-	sh.mu.RLock()
-	_, ok := sh.edges[e]
-	sh.mu.RUnlock()
-	return ok
-}
-
-// HasBlock reports whether the tracker has seen the block.
-func (t *Tracker) HasBlock(pc uint64) bool {
-	sh := &t.shards[blockShard(pc)]
-	sh.mu.RLock()
-	_, ok := sh.blocks[pc]
-	sh.mu.RUnlock()
-	return ok
-}
-
-// Edges returns the cumulative distinct edge count.
-func (t *Tracker) Edges() int { return int(t.edges.Load()) }
-
-// Blocks returns the cumulative distinct block count.
-func (t *Tracker) Blocks() int { return int(t.blocks.Load()) }
-
-var (
-	globalOnce sync.Once
-	global     *Tracker
-)
-
-// Global is the process-wide cumulative tracker. Engines feed it from
-// every merged run so the serving layer can expose coverage across all
-// jobs; it never influences scheduling (each engine scores against its
-// own tracker, keeping explorations independent and deterministic).
-func Global() *Tracker {
-	globalOnce.Do(func() { global = NewTracker() })
-	return global
 }

@@ -1,7 +1,9 @@
 package cover
 
 import (
-	"sync"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/trace"
@@ -80,81 +82,134 @@ func TestSetAddEdge(t *testing.T) {
 	if s.HasEdge(Edge{From: 5000, To: 1}) {
 		t.Error("HasEdge reports an edge never added")
 	}
-	if e, _ := NewTracker().Merge(s); e != len(ref) {
+	if e := NewSet().Merge(s); e != len(ref) {
 		t.Errorf("Merge found %d new edges, want %d", e, len(ref))
 	}
 }
 
 func TestMergeCountsNewOnly(t *testing.T) {
-	tk := NewTracker()
+	cum := NewSet()
 	a := NewSet()
 	a.AddEdge(Edge{1, 2})
 	a.AddEdge(Edge{2, 3})
 	a.AddBlock(1)
-	if e, b := tk.Merge(a); e != 2 || b != 1 {
-		t.Fatalf("first merge = (%d, %d), want (2, 1)", e, b)
+	if e := cum.Merge(a); e != 2 {
+		t.Fatalf("first merge = %d new edges, want 2", e)
 	}
 	// Re-merging the same set must be a no-op.
-	if e, b := tk.Merge(a); e != 0 || b != 0 {
-		t.Fatalf("idempotent merge = (%d, %d), want (0, 0)", e, b)
+	if e := cum.Merge(a); e != 0 {
+		t.Fatalf("idempotent merge = %d new edges, want 0", e)
 	}
 	b := NewSet()
 	b.AddEdge(Edge{2, 3}) // old
 	b.AddEdge(Edge{3, 4}) // new
 	b.AddBlock(1)         // old
 	b.AddBlock(4)         // new
-	if e, nb := tk.Merge(b); e != 1 || nb != 1 {
-		t.Fatalf("overlap merge = (%d, %d), want (1, 1)", e, nb)
+	if e := cum.Merge(b); e != 1 {
+		t.Fatalf("overlap merge = %d new edges, want 1", e)
 	}
-	if tk.Edges() != 3 || tk.Blocks() != 2 {
-		t.Fatalf("totals = (%d, %d), want (3, 2)", tk.Edges(), tk.Blocks())
+	if e, bl := cum.Len(); e != 3 || bl != 2 {
+		t.Fatalf("totals = (%d, %d), want (3, 2)", e, bl)
 	}
-	if !tk.HasEdge(Edge{3, 4}) || tk.HasEdge(Edge{4, 5}) {
+	if !cum.HasEdge(Edge{3, 4}) || cum.HasEdge(Edge{4, 5}) {
 		t.Error("HasEdge disagrees with merged content")
 	}
-	if !tk.HasBlock(4) || tk.HasBlock(9) {
+	if !cum.HasBlock(4) || cum.HasBlock(9) {
 		t.Error("HasBlock disagrees with merged content")
 	}
+	if e := cum.Merge(nil); e != 0 {
+		t.Errorf("nil merge = %d new edges, want 0", e)
+	}
 }
 
-// TestTrackerConcurrent hammers one tracker from many goroutines (race
-// gate target): total new-edge counts across all merges must equal the
-// distinct edge population no matter how merges interleave.
-func TestTrackerConcurrent(t *testing.T) {
-	tk := NewTracker()
-	const workers = 8
-	var wg sync.WaitGroup
-	newTotal := make([]int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				s := NewSet()
-				// Overlapping ranges: every worker re-offers most edges.
-				for j := 0; j < 16; j++ {
-					pc := uint64((i%50)*16 + j)
-					s.AddEdge(Edge{pc, pc + 1})
-					s.AddBlock(pc)
+// FuzzCoverSetMerge checks Set.Merge against a map reference model: the
+// new-edge count, the merged edges and blocks, and membership. A small
+// PC span makes the zero edge and repeated edges common; n up to 4096
+// edges per side drives both tables through several doublings, the
+// receiver's during the merge itself.
+func FuzzCoverSetMerge(f *testing.F) {
+	f.Add(int64(1), uint16(10), uint16(10), uint8(4))
+	f.Add(int64(2), uint16(0), uint16(300), uint8(40))
+	f.Add(int64(3), uint16(200), uint16(2000), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, na, nb uint16, span uint8) {
+		r := rand.New(rand.NewSource(seed))
+		pc := func() uint64 { return uint64(r.Intn(int(span) + 1)) }
+		build := func(n uint16) (*Set, map[Edge]bool, map[uint64]bool) {
+			s, edges, blocks := NewSet(), map[Edge]bool{}, map[uint64]bool{}
+			for i := 0; i < int(n%4097); i++ {
+				e := Edge{From: pc(), To: pc()}
+				s.AddEdge(e)
+				edges[e] = true
+				if e.From%3 == 0 {
+					s.AddBlock(e.From)
+					blocks[e.From] = true
 				}
-				e, _ := tk.Merge(s)
-				newTotal[w] += e
-				tk.HasEdge(Edge{uint64(i), uint64(i + 1)})
 			}
-		}(w)
-	}
-	wg.Wait()
-	sum := 0
-	for _, n := range newTotal {
-		sum += n
-	}
-	if sum != tk.Edges() {
-		t.Fatalf("sum of per-merge novelty %d != distinct edges %d", sum, tk.Edges())
-	}
-}
+			return s, edges, blocks
+		}
+		s, refEdges, refBlocks := build(na)
+		o, oEdges, oBlocks := build(nb)
 
-func TestGlobalSingleton(t *testing.T) {
-	if Global() != Global() {
-		t.Fatal("Global must return one process-wide tracker")
-	}
+		wantNew := 0
+		for e := range oEdges {
+			if !refEdges[e] {
+				wantNew++
+				refEdges[e] = true
+			}
+		}
+		for b := range oBlocks {
+			refBlocks[b] = true
+		}
+		if got := s.Merge(o); got != wantNew {
+			t.Fatalf("Merge = %d new edges, want %d", got, wantNew)
+		}
+		if got := s.Merge(o); got != 0 {
+			t.Fatalf("second Merge = %d new edges, want 0", got)
+		}
+
+		wantEdges := make([]Edge, 0, len(refEdges))
+		for e := range refEdges {
+			wantEdges = append(wantEdges, e)
+		}
+		sort.Slice(wantEdges, func(i, j int) bool {
+			if wantEdges[i].From != wantEdges[j].From {
+				return wantEdges[i].From < wantEdges[j].From
+			}
+			return wantEdges[i].To < wantEdges[j].To
+		})
+		wantBlocks := make([]uint64, 0, len(refBlocks))
+		for b := range refBlocks {
+			wantBlocks = append(wantBlocks, b)
+		}
+		sort.Slice(wantBlocks, func(i, j int) bool { return wantBlocks[i] < wantBlocks[j] })
+		if got := s.Edges(); !reflect.DeepEqual(got, wantEdges) {
+			t.Fatalf("merged edges = %v, want %v", got, wantEdges)
+		}
+		if got := s.Blocks(); !reflect.DeepEqual(got, wantBlocks) {
+			t.Fatalf("merged blocks = %v, want %v", got, wantBlocks)
+		}
+		if e, b := s.Len(); e != len(refEdges) || b != len(refBlocks) {
+			t.Fatalf("Len = (%d, %d), want (%d, %d)", e, b, len(refEdges), len(refBlocks))
+		}
+		if s.HasEdge(Edge{}) != refEdges[Edge{}] {
+			t.Fatalf("HasEdge(zero edge) = %v, want %v", !refEdges[Edge{}], refEdges[Edge{}])
+		}
+		// Every PC is at most span, so these are absent.
+		out := uint64(span) + 1
+		for x := uint64(0); x <= out; x++ {
+			for _, e := range []Edge{{x, out}, {out, x}} {
+				if s.HasEdge(e) != refEdges[e] {
+					t.Fatalf("HasEdge(%v) = %v, want %v", e, !refEdges[e], refEdges[e])
+				}
+			}
+			if s.HasBlock(x) != refBlocks[x] {
+				t.Fatalf("HasBlock(%d) = %v, want %v", x, !refBlocks[x], refBlocks[x])
+			}
+		}
+		for e := range refEdges {
+			if !s.HasEdge(e) {
+				t.Fatalf("HasEdge(%v) = false after Merge", e)
+			}
+		}
+	})
 }

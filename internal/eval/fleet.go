@@ -10,6 +10,7 @@ import (
 	"repro/internal/bombs"
 	"repro/internal/cliopts"
 	"repro/internal/core"
+	"repro/internal/target"
 	"repro/internal/tools"
 )
 
@@ -44,19 +45,12 @@ type fleetView struct {
 }
 
 type fleetResult struct {
-	Verdict string `json:"verdict"`
-	Label   string `json:"label"`
-	Detail  string `json:"detail"`
-	Rounds  int    `json:"rounds"`
-	Input   *struct {
-		Argv1   string            `json:"argv1"`
-		TimeNow uint64            `json:"time"`
-		Pid     uint64            `json:"pid"`
-		Web     map[string]string `json:"web"`
-		Files   map[string][]byte `json:"files"`
-		Env     map[string]string `json:"env"`
-	} `json:"input"`
-	Stats core.Stats `json:"stats"`
+	Verdict string        `json:"verdict"`
+	Label   string        `json:"label"`
+	Detail  string        `json:"detail"`
+	Rounds  int           `json:"rounds"`
+	Input   *target.Input `json:"input"`
+	Stats   core.Stats    `json:"stats"`
 }
 
 var fleetHTTP = &http.Client{Timeout: 10 * time.Second}
@@ -233,8 +227,7 @@ func cellFromView(b *bombs.Bomb, p tools.Profile, paperIdx int, v *fleetView) (*
 	}
 	out.Stats = v.Result.Stats
 	if in := v.Result.Input; in != nil {
-		out.Input = bombs.Input{Argv1: in.Argv1, TimeNow: in.TimeNow, Pid: in.Pid,
-			Web: in.Web, Files: in.Files, Env: in.Env}
+		out.Input = *in
 	}
 
 	mech := bombs.PaperOutcome(v.Result.Label)

@@ -39,7 +39,19 @@ type page struct {
 	// frozen pages are immutable for good: every write copies them and
 	// refs is never touched (see Freeze). Set before the page is shared.
 	frozen bool
-	data   [PageSize]byte
+	// data is its own allocation: inline, the header would push every
+	// page out of the 4 KiB size class into the next one (4,864 B).
+	data *[PageSize]byte
+}
+
+// newPage returns an exclusive page holding a copy of data (zeros when
+// data is nil).
+func newPage(data *[PageSize]byte) *page {
+	p := &page{refs: 1, data: new([PageSize]byte)}
+	if data != nil {
+		*p.data = *data
+	}
+	return p
 }
 
 // Memory is a sparse 64-bit byte-addressable memory. The zero value is an
@@ -126,7 +138,7 @@ func (m *Memory) pageFor(addr uint64, create bool) *page {
 		if m.pages == nil {
 			m.pages = make(map[uint64]*page)
 		}
-		p = &page{refs: 1}
+		p = newPage(nil)
 		m.pages[base] = p
 	}
 	return p
@@ -146,12 +158,12 @@ func (m *Memory) writablePage(addr uint64) *page {
 		if m.pages == nil {
 			m.pages = make(map[uint64]*page)
 		}
-		p = &page{refs: 1}
+		p = newPage(nil)
 		m.pages[base] = p
 		return p
 	}
 	if p.shared() {
-		np := &page{refs: 1, data: p.data}
+		np := newPage(p.data)
 		if !p.frozen {
 			atomic.AddInt32(&p.refs, -1)
 		}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -315,5 +316,24 @@ func TestFrozenPagesNotCounted(t *testing.T) {
 	}
 	if got := boot.ReadCString(0x10, 8); got != "boot" || boot.LoadByte(PageSize) != 7 {
 		t.Errorf("boot memory reads %q, %d after the clones wrote, want \"boot\", 7", got, boot.LoadByte(PageSize))
+	}
+}
+
+// TestPageHeapCost bounds the heap one allocated page costs: its 4 KiB
+// of data plus the header and map entry, not the next size class up.
+func TestPageHeapCost(t *testing.T) {
+	const pages = 1000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := New()
+	for i := uint64(0); i < pages; i++ {
+		m.StoreByte(i*PageSize, 1)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	if per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / pages; per > 4200 {
+		t.Errorf("heap grew %d B per page, want at most 4200", per)
 	}
 }

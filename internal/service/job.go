@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/suggest"
+	"repro/internal/target"
 	"repro/internal/tools"
 )
 
@@ -134,28 +135,17 @@ func (r *Request) Validate() error {
 	return nil
 }
 
-// SolvedInput is the detonating input of a solved job. Files values are
-// base64 on the wire (encoding/json []byte convention).
-type SolvedInput struct {
-	Argv1   string            `json:"argv1"`
-	TimeNow uint64            `json:"time,omitempty"`
-	Pid     uint64            `json:"pid,omitempty"`
-	Web     map[string]string `json:"web,omitempty"`
-	Files   map[string][]byte `json:"files,omitempty"`
-	Env     map[string]string `json:"env,omitempty"`
-}
-
 // Result is a finished job's outcome. Label is exactly the Table II
 // cell eval.Classify produces for the same {bomb, tool, workers} tuple
 // ("" = correctly unreachable), so service results compare byte-for-byte
 // with the CLI and the evaluation harness.
 type Result struct {
-	Verdict string       `json:"verdict"`
-	Label   string       `json:"label"`
-	Detail  string       `json:"detail,omitempty"`
-	Rounds  int          `json:"rounds"`
-	Input   *SolvedInput `json:"input,omitempty"`
-	Stats   core.Stats   `json:"stats"` // every engine counter, under its schema name
+	Verdict string        `json:"verdict"`
+	Label   string        `json:"label"`
+	Detail  string        `json:"detail,omitempty"`
+	Rounds  int           `json:"rounds"`
+	Input   *target.Input `json:"input,omitempty"` // the detonating input of a solved job
+	Stats   core.Stats    `json:"stats"`           // every engine counter, under its schema name
 }
 
 // resultFrom projects an engine outcome into the wire result.
@@ -168,14 +158,8 @@ func resultFrom(out *core.Outcome) *Result {
 		Stats:   out.Stats,
 	}
 	if out.Verdict == core.VerdictSolved {
-		res.Input = &SolvedInput{
-			Argv1:   out.Input.Argv1,
-			TimeNow: out.Input.TimeNow,
-			Pid:     out.Input.Pid,
-			Web:     out.Input.Web,
-			Files:   out.Input.Files,
-			Env:     out.Input.Env,
-		}
+		in := out.Input
+		res.Input = &in
 	}
 	return res
 }

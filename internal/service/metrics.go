@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/cover"
 	"repro/internal/sym"
 )
 
@@ -184,11 +183,6 @@ func (m *Metrics) Render(queueDepth, queueCap, workers int) string {
 	counter("concolicd_steal_stolen_total", "Peer jobs this replica executed.", m.stolen)
 	counter("concolicd_steal_lease_expired_total", "Stolen jobs requeued after their lease lapsed.", m.leasesExpired)
 	counter("concolicd_steal_remote_results_total", "Stolen-job results accepted back from stealers.", m.remoteResults)
-
-	// The process-wide coverage tracker is shared by every job (like the
-	// sym arena), so its population is read live rather than summed.
-	gauge("concolicd_cover_global_edges", "Distinct control-flow edges ever covered in this process.", cover.Global().Edges())
-	gauge("concolicd_cover_global_blocks", "Distinct basic blocks ever covered in this process.", cover.Global().Blocks())
 
 	// Hash-consing arena counters are process-global (the arena is shared
 	// by every job), so they are read live rather than summed from

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/target"
 )
 
 // postRaw submits a raw JSON body, the way a client of any schema
@@ -100,7 +101,10 @@ func TestTargetSchemaVersions(t *testing.T) {
 // since removed, wall time in milliseconds — decodes to the same values
 // for every counter that remains, and re-encodes losslessly.
 func TestResultDecodesParentWireShape(t *testing.T) {
-	const old = `{"verdict":"solved","label":"","rounds":3,"input":{"argv1":"7"},` +
+	// oldInput sets every input facet, exactly as an older server wrote it.
+	const oldInput = `{"argv1":"7","time":1234567890,"pid":77,"web":{"http://x/":"ok"},` +
+		`"files":{"/tmp/k":"AAEC/w=="},"env":{"KEY":"v"}}`
+	const old = `{"verdict":"solved","label":"","rounds":3,"input":` + oldInput + `,` +
 		`"stats":{"workers":2,"solver_queries":9,"cache_hits":4,"cache_misses":5,` +
 		`"peak_frontier":6,"wall_ms":1234,"portfolio_races":7,"portfolio_clauses_shared":8,` +
 		`"warmstart_query_hits":1,"warmstart_clauses_seeded":10,"covered_edges":40,` +
@@ -108,7 +112,9 @@ func TestResultDecodesParentWireShape(t *testing.T) {
 		`"sharedcache_misses":12,"sharedcache_stores":13,"sharedcache_served":14,` +
 		`"checkpoints_taken":15,"checkpoint_resumes":2,"instructions_skipped":16,` +
 		`"pages_cow_faulted":17,"prefix_constraints_reused":18}}`
-	want := Result{Verdict: "solved", Rounds: 3, Input: &SolvedInput{Argv1: "7"}}
+	want := Result{Verdict: "solved", Rounds: 3, Input: &target.Input{Argv1: "7", TimeNow: 1234567890,
+		Pid: 77, Web: map[string]string{"http://x/": "ok"}, Files: map[string][]byte{"/tmp/k": {0, 1, 2, 0xff}},
+		Env: map[string]string{"KEY": "v"}}}
 	want.Stats = core.Stats{Workers: 2, SolverQueries: 9, CacheHits: 4, CacheMisses: 5,
 		PeakFrontier: 6, WallTime: 1234 * time.Millisecond,
 		CoveredEdges: 40, CoveredBlocks: 20, FuzzExecs: 48, FuzzSeedsPromoted: 3,
@@ -119,8 +125,13 @@ func TestResultDecodesParentWireShape(t *testing.T) {
 		if err := json.Unmarshal([]byte(doc), &got); err != nil {
 			t.Fatalf("decode %s: %v", doc, err)
 		}
-		if doc == old && !reflect.DeepEqual(got, want) {
-			t.Errorf("decoded\n %+v\nwant\n %+v", got, want)
+		if doc == old {
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("decoded\n %+v\nwant\n %+v", got, want)
+			}
+			if raw, _ := json.Marshal(got.Input); string(raw) != oldInput {
+				t.Errorf("input re-encodes as %s, want the older server's %s", raw, oldInput)
+			}
 		}
 		raw, _ := json.Marshal(got)
 		var back Result

@@ -344,7 +344,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		{"concolicd_solver_cache_hits_total", "counter"},
 		{"concolicd_solver_cache_misses_total", "counter"},
 		{"concolicd_solver_cache_hit_ratio", "gauge"},
-		{"concolicd_checkpoint_cow_faults_total", "counter"},
+		{"concolicd_pages_cow_faulted_total", "counter"},
 		{"concolicd_sharedcache_hits_total", "counter"},
 		{"concolicd_sharedcache_misses_total", "counter"},
 		{"concolicd_sharedcache_stores_total", "counter"},
@@ -358,8 +358,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		{"concolicd_cover_blocks_total", "counter"},
 		{"concolicd_fuzz_execs_total", "counter"},
 		{"concolicd_fuzz_seeds_promoted_total", "counter"},
-		{"concolicd_cover_global_edges", "gauge"},
-		{"concolicd_cover_global_blocks", "gauge"},
 		{"concolicd_sym_arena_nodes", "gauge"},
 		{"concolicd_sym_intern_hits_total", "counter"},
 		{"concolicd_sym_intern_misses_total", "counter"},

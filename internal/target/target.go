@@ -13,14 +13,16 @@ import "repro/internal/gos"
 // Input fully specifies one concrete run: the argument string plus every
 // environment facet a target can depend on. The benign input is the seed
 // a tool starts from; for bombs the trigger input is the ground truth
-// that detonates the bomb.
+// that detonates the bomb. The JSON tags are concolicd's wire shape for
+// a solved job's input; Files values are base64 on the wire
+// (encoding/json []byte convention).
 type Input struct {
-	Argv1   string
-	TimeNow uint64
-	Pid     uint64
-	Web     map[string]string
-	Files   map[string][]byte
-	Env     map[string]string
+	Argv1   string            `json:"argv1"`
+	TimeNow uint64            `json:"time,omitempty"`
+	Pid     uint64            `json:"pid,omitempty"`
+	Web     map[string]string `json:"web,omitempty"`
+	Files   map[string][]byte `json:"files,omitempty"`
+	Env     map[string]string `json:"env,omitempty"`
 }
 
 // Default environment values for benign runs.
