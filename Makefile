@@ -60,7 +60,7 @@ test-short:
 	$(GO) test -short ./...
 
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkPigeonhole7|BenchmarkPropagationChain|BenchmarkFreshQuery' ./internal/sat/
+	$(GO) test -run '^$$' -bench 'BenchmarkPigeonhole7|BenchmarkPropagationChain|BenchmarkFreshQuery|BenchmarkFactorQuery' -benchmem ./internal/sat/
 	$(GO) test -run '^$$' -bench 'BenchmarkExploreParallel|BenchmarkSolverCacheHitRate' -benchtime 3x ./internal/core/...
 	$(GO) test -run '^$$' -bench 'BenchmarkMemClone|BenchmarkMemCloneWriteFault' ./internal/mem/...
 	$(GO) test -run '^$$' -bench 'BenchmarkExecLoop' ./internal/vm/

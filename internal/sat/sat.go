@@ -61,27 +61,28 @@ const (
 	lFalse
 )
 
-// The clause database holds no pointers. Every clause's literals sit
-// back to back in one arena; a cref indexes the header that locates
-// them. Watchers, reasons and the clause lists are crefs, so the garbage
-// collector never scans them and storing one fires no write barrier.
-// Deleting a clause leaves its literals in the arena as dead space and
-// frees its header slot for reuse; reduceLearned copies the live
-// literals to a fresh arena once dead ones pass half of it. Only header
-// starts move, so no watcher or reason ever needs relocating.
+// The clause database holds no pointers. Every clause sits in one
+// arena as a size word followed by its literals; a cref is the arena
+// index of the size word, so a watcher visit reaches the literals with
+// one load. Watchers, reasons and the clause lists are crefs, so the
+// garbage collector never scans them and storing one fires no write
+// barrier. Deleting a clause leaves it in the arena as dead space;
+// reduceLearned copies the live clauses to a fresh arena once dead
+// words pass half of it, and relocates every cref held by a clause
+// list, a watcher or an assigned variable's reason.
 
-// cref identifies a clause: an index into Solver.headers.
+// cref identifies a clause: the arena index of its size word.
 type cref uint32
 
 // crefUndef is the reason of a decision, a unit or an unassigned
 // variable, and the result of a conflict-free propagation.
 const crefUndef cref = math.MaxUint32
 
-// header locates one clause's literals in the arena.
-type header struct {
-	start, size uint32
-	// act is a learned clause's activity: the clause increment at
-	// learn time. Nothing bumps it later, so ranking by it ranks by age.
+// learnedClause is a learned clause with its activity: the clause
+// increment at learn time. Nothing bumps it later, so ranking by it
+// ranks by age.
+type learnedClause struct {
+	c   cref
 	act float64
 }
 
@@ -92,12 +93,10 @@ type watcher struct {
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	arena     []Lit    // literals of every clause, live or dead
-	headers   []header // indexed by cref
-	freeCrefs []cref   // header slots of deleted clauses
-	wasted    int      // arena literals of deleted clauses
+	arena     []Lit // size word and literals of every clause, live or dead
+	wasted    int   // arena words of deleted clauses
 	clauses   []cref
-	learned   []cref
+	learned   []learnedClause
 	watches   [][]watcher // indexed by literal
 	watchPool []watcher   // unused watch-list slots (see addWatch)
 
@@ -108,9 +107,8 @@ type Solver struct {
 	trailLim []int
 	qhead    int
 
-	activity []float64
 	varInc   float64
-	order    *varHeap
+	order    varHeap // holds the variable activities
 	polarity []bool
 
 	clauseInc float64
@@ -142,9 +140,7 @@ type Solver struct {
 
 // New returns an empty solver.
 func New() *Solver {
-	s := &Solver{varInc: 1, clauseInc: 1, ok: true}
-	s.order = &varHeap{act: &s.activity}
-	return s
+	return &Solver{varInc: 1, clauseInc: 1, ok: true}
 }
 
 // Reset returns the solver to the state New gives: no variables, no
@@ -157,8 +153,6 @@ func New() *Solver {
 func (s *Solver) Reset() {
 	*s = Solver{
 		arena:     s.arena[:0],
-		headers:   s.headers[:0],
-		freeCrefs: s.freeCrefs[:0],
 		clauses:   s.clauses[:0],
 		learned:   s.learned[:0],
 		watches:   s.watches[:0],
@@ -168,9 +162,12 @@ func (s *Solver) Reset() {
 		reason:    s.reason[:0],
 		trail:     s.trail[:0],
 		trailLim:  s.trailLim[:0],
-		activity:  s.activity[:0],
 		varInc:    1,
-		order:     s.order,
+		order: varHeap{
+			act:     s.order.act[:0],
+			heap:    s.order.heap[:0],
+			indices: s.order.indices[:0],
+		},
 		polarity:  s.polarity[:0],
 		clauseInc: 1,
 		stamp:     s.stamp[:0],
@@ -180,8 +177,6 @@ func (s *Solver) Reset() {
 		ok:        true,
 		model:     s.model[:0],
 	}
-	s.order.heap = s.order.heap[:0]
-	s.order.indices = s.order.indices[:0]
 }
 
 // NewVar allocates a fresh variable and returns its index.
@@ -190,7 +185,7 @@ func (s *Solver) NewVar() int {
 	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crefUndef)
-	s.activity = append(s.activity, 0)
+	s.order.act = append(s.order.act, 0)
 	s.polarity = append(s.polarity, false)
 	// Within capacity the two slots may hold lists a Reset left behind:
 	// emptied, they keep their room instead of taking new watchPool slots.
@@ -215,22 +210,15 @@ func (s *Solver) NumClauses() int { return len(s.clauses) }
 
 // lits returns clause c's literals, in place in the arena.
 func (s *Solver) lits(c cref) []Lit {
-	h := s.headers[c]
-	return s.arena[h.start : h.start+h.size]
+	return s.arena[c+1 : c+1+cref(s.arena[c])]
 }
 
-// newClause stores a copy of lits and returns its cref.
-func (s *Solver) newClause(lits []Lit, act float64) cref {
-	h := header{start: uint32(len(s.arena)), size: uint32(len(lits)), act: act}
+// newClause stores a size word and a copy of lits and returns its cref.
+func (s *Solver) newClause(lits []Lit) cref {
+	c := cref(len(s.arena))
+	s.arena = append(s.arena, Lit(len(lits)))
 	s.arena = append(s.arena, lits...)
-	if n := len(s.freeCrefs); n > 0 {
-		c := s.freeCrefs[n-1]
-		s.freeCrefs = s.freeCrefs[:n-1]
-		s.headers[c] = h
-		return c
-	}
-	s.headers = append(s.headers, h)
-	return cref(len(s.headers) - 1)
+	return c
 }
 
 // nextStamp starts a new stamp generation, clearing the stamps when the
@@ -300,7 +288,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	c := s.newClause(out, 0)
+	c := s.newClause(out)
 	s.clauses = append(s.clauses, c)
 	s.watch(c)
 	return true
@@ -346,28 +334,28 @@ func (s *Solver) propagate() cref {
 		s.qhead++
 		s.props++
 		falseLit := p.Not()
+		// Watchers that stay on p's list are moved down to ws[:j]. No
+		// watcher moves onto p's list meanwhile: a new watch is on a
+		// literal that is not false, and p's list watches false ~p.
 		ws := s.watches[p]
-		kept := ws[:0]
-		conflict := crefUndef
+		j := 0
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if conflict != crefUndef {
-				kept = append(kept, ws[i:]...)
-				break
-			}
 			if s.vals[w.blocker] == lTrue {
-				kept = append(kept, w)
+				ws[j] = w
+				j++
 				continue
 			}
-			h := s.headers[w.cref]
-			lits := s.arena[h.start : h.start+h.size]
+			c := w.cref
+			lits := s.arena[c+1 : c+1+cref(s.arena[c])]
 			// Ensure lits[1] is the false literal p.Not().
 			if lits[0] == falseLit {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
 			first := lits[0]
 			if first != w.blocker && s.vals[first] == lTrue {
-				kept = append(kept, watcher{cref: w.cref, blocker: first})
+				ws[j] = watcher{cref: c, blocker: first}
+				j++
 				continue
 			}
 			// Find a new literal to watch.
@@ -375,7 +363,7 @@ func (s *Solver) propagate() cref {
 			for k := 2; k < len(lits); k++ {
 				if s.vals[lits[k]] != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
-					s.addWatch(lits[1].Not(), watcher{cref: w.cref, blocker: first})
+					s.addWatch(lits[1].Not(), watcher{cref: c, blocker: first})
 					found = true
 					break
 				}
@@ -384,18 +372,17 @@ func (s *Solver) propagate() cref {
 				continue
 			}
 			// Unit or conflict.
-			kept = append(kept, w)
+			ws[j] = w
+			j++
 			if s.vals[first] == lFalse {
-				conflict = w.cref
+				j += copy(ws[j:], ws[i+1:])
+				s.watches[p] = ws[:j]
 				s.qhead = len(s.trail)
-				continue
+				return c
 			}
-			s.enqueue(first, w.cref)
+			s.enqueue(first, c)
 		}
-		s.watches[p] = kept
-		if conflict != crefUndef {
-			return conflict
-		}
+		s.watches[p] = ws[:j]
 	}
 	return crefUndef
 }
@@ -489,10 +476,11 @@ func (s *Solver) analyze(conflict cref) ([]Lit, int) {
 }
 
 func (s *Solver) bumpVar(v int) {
-	s.activity[v] += s.varInc
-	if s.activity[v] > 1e100 {
-		for i := range s.activity {
-			s.activity[i] *= 1e-100
+	act := s.order.act
+	act[v] += s.varInc
+	if act[v] > 1e100 {
+		for i := range act {
+			act[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
 	}
@@ -517,21 +505,20 @@ func (s *Solver) pickBranchVar() int {
 // reduceLearned drops the learned clauses below the mean activity,
 // keeping reasons and binaries. Activity is fixed at learn time and the
 // clause increment only grows, so this keeps roughly the more recently
-// learned half. Once dead literals pass half the arena it compacts.
+// learned half. Once dead words pass half the arena it compacts.
 func (s *Solver) reduceLearned() {
 	if len(s.learned) < 4000 {
 		return
 	}
 	lim := s.meanAct()
 	kept := s.learned[:0]
-	for _, c := range s.learned {
-		h := s.headers[c]
-		if h.act >= lim || s.isReason(c) || h.size <= 2 {
-			kept = append(kept, c)
+	for _, l := range s.learned {
+		size := int(s.arena[l.c])
+		if l.act >= lim || s.isReason(l.c) || size <= 2 {
+			kept = append(kept, l)
 		} else {
-			s.unwatch(c)
-			s.wasted += int(h.size)
-			s.freeCrefs = append(s.freeCrefs, c)
+			s.unwatch(l.c)
+			s.wasted += 1 + size
 			s.deletedN++
 		}
 	}
@@ -543,22 +530,40 @@ func (s *Solver) reduceLearned() {
 
 func (s *Solver) meanAct() float64 {
 	var sum float64
-	for _, c := range s.learned {
-		sum += s.headers[c].act
+	for _, l := range s.learned {
+		sum += l.act
 	}
 	return sum / float64(len(s.learned))
 }
 
-// compact copies the live clauses' literals to a fresh arena, problem
-// clauses first, and repoints their headers.
+// compact copies the live clauses to a fresh arena, problem clauses
+// first, and relocates every cref. It runs in mid-search, so besides
+// the clause lists and the watchers it relocates the reason of every
+// assigned variable; unassigned variables have none. Each clause's old
+// size word holds its new cref while the old arena is still read.
 func (s *Solver) compact() {
-	arena := make([]Lit, 0, len(s.arena)-s.wasted)
-	for _, list := range [2][]cref{s.clauses, s.learned} {
-		for _, c := range list {
-			h := &s.headers[c]
-			start := uint32(len(arena))
-			arena = append(arena, s.arena[h.start:h.start+h.size]...)
-			h.start = start
+	old := s.arena
+	arena := make([]Lit, 0, len(old)-s.wasted)
+	move := func(c cref) cref {
+		n := cref(len(arena))
+		arena = append(arena, old[c:c+1+cref(old[c])]...)
+		old[c] = Lit(n)
+		return n
+	}
+	for i, c := range s.clauses {
+		s.clauses[i] = move(c)
+	}
+	for i := range s.learned {
+		s.learned[i].c = move(s.learned[i].c)
+	}
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].cref = cref(old[ws[i].cref])
+		}
+	}
+	for _, l := range s.trail {
+		if r := &s.reason[l.Var()]; *r != crefUndef {
+			*r = cref(old[*r])
 		}
 	}
 	s.arena = arena
@@ -566,7 +571,7 @@ func (s *Solver) compact() {
 }
 
 func (s *Solver) isReason(c cref) bool {
-	l := s.arena[s.headers[c].start]
+	l := s.arena[c+1]
 	return s.vals[l] != lUndef && s.reason[l.Var()] == c
 }
 
@@ -672,8 +677,8 @@ func (s *Solver) search(budget, limit int64) Status {
 			if len(learnt) == 1 {
 				s.enqueue(learnt[0], crefUndef)
 			} else {
-				c := s.newClause(learnt, s.clauseInc)
-				s.learned = append(s.learned, c)
+				c := s.newClause(learnt)
+				s.learned = append(s.learned, learnedClause{c, s.clauseInc})
 				s.learnedN++
 				s.watch(c)
 				s.enqueue(learnt[0], c)
@@ -737,16 +742,17 @@ func (s *Solver) Stats() Stats {
 	}
 }
 
-// varHeap is a max-heap over variable activity.
+// varHeap is a max-heap over variable activity. It holds the
+// activities, indexed by variable.
 type varHeap struct {
-	act     *[]float64
+	act     []float64
 	heap    []int
 	indices []int
 }
 
 func (h *varHeap) size() int { return len(h.heap) }
 
-func (h *varHeap) less(a, b int) bool { return (*h.act)[a] > (*h.act)[b] }
+func (h *varHeap) less(a, b int) bool { return h.act[a] > h.act[b] }
 
 func (h *varHeap) push(v int) {
 	for len(h.indices) <= v {
